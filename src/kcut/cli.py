@@ -163,7 +163,7 @@ def _cmd_bound(args):
     opts = _load_solver_options(args.config)
     method = args.method
     k = args.k
-    t0 = time.time()
+    t0 = time.perf_counter()
     residuals = {}
     extra = {}
 
@@ -212,7 +212,7 @@ def _cmd_bound(args):
         "method": method,
         "value": value,
         "residuals": {key: float(v) for key, v in residuals.items()},
-        "runtime_ms": round(1000.0 * (time.time() - t0), 3),
+        "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
         **extra,
     }
     if args.json:
@@ -233,7 +233,7 @@ def _cmd_exact(args):
     from .oracle import brute_force_maxkcut
 
     g = _load_graph(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         part, value = brute_force_maxkcut(g, args.k)
     except CapExceeded as exc:
@@ -245,7 +245,7 @@ def _cmd_exact(args):
         "value": value,
         "partition": part.assignment.tolist(),
         "residuals": {},
-        "runtime_ms": round(1000.0 * (time.time() - t0), 3),
+        "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }
     if args.json:
         print(json.dumps(payload, indent=2))

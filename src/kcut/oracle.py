@@ -4,8 +4,12 @@ cuts, and a gap report collecting every bound next to the exact value.
 
 Enumeration is canonical: vertex 0 sits in part 0 and new part labels are
 used in increasing order, so each partition into at most k unlabeled parts is
-visited exactly once (SUM_{j<=k} S(n,j) states).  For k = 2 a vectorized
-bitmask sweep over 2^(n-1) labelings is used instead.
+visited exactly once (SUM_{j<=k} S(n,j) states).  One split enumeration
+serves every k: the labelings of each half of the vertices are tabulated,
+and the cut of every pair of half-labelings comes from a GEMM of one-hot
+codes, scanned in fixed-size tiles so memory does not grow with the states
+(Horowitz-Sahni; R. Williams 2005, "A new algorithm for optimal
+2-constraint satisfaction").
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 40_000_000
 DEFAULT_MASK_CAP = 1 << 28
+# float64 elements per GEMM tile and per block of B's one-hot codes
+BLOCK = 1 << 16
 
 
 class WorkCapExceeded(CapExceeded):
@@ -68,94 +74,88 @@ def _canonicalize(assignment: np.ndarray, k: int) -> Partition:
     return Partition(assignment=out, k=k)
 
 
-def _maxcut_bitmask(g: Graph, mask_cap: int, chunk: int = 1 << 20):
-    n = g.n
-    total = 1 << (n - 1)
-    if total > mask_cap:
-        raise WorkCapExceeded(
-            f"max-2-cut of n={n} needs 2^{n - 1} = {total} labelings, cap {mask_cap}"
-        )
-    W = g.weights
-    ei, ej = np.nonzero(np.triu(W, 1))
-    wts = W[ei, ej]
-    best = -1.0
-    best_mask = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        # vertex 0 fixed in part 0; vertex v >= 1 has label bit (v-1)
-        bits = np.empty((stop - start, n), dtype=np.uint8)
-        bits[:, 0] = 0
-        for v in range(1, n):
-            bits[:, v] = (masks >> np.uint64(v - 1)).astype(np.uint8) & 1
-        cut = np.zeros(stop - start)
-        for e in range(ei.size):
-            cut += wts[e] * (bits[:, ei[e]] ^ bits[:, ej[e]])
-        am = int(np.argmax(cut))
-        if cut[am] > best:
-            best = float(cut[am])
-            best_mask = start + am
-    assignment = np.zeros(n, dtype=np.int64)
-    for v in range(1, n):
-        assignment[v] = (best_mask >> (v - 1)) & 1
-    return _canonicalize(assignment, 2), best
+def _half(W: np.ndarray, parts: int, kmax: int):
+    """Labelings of the vertices of ``W`` that extend a labeling already using
+    ``parts`` parts: each vertex joins a part used so far or opens the next
+    one, up to ``kmax`` parts.  With ``parts = 0`` these are the canonical
+    labelings.
 
-
-def _enumerate_levels(g: Graph, kmax: int):
-    """Level-synchronous sweep over canonical labelings.
-
-    Returns (labels, nparts, cut): the full leaf arrays, with ``labels`` of
-    shape (num_states, n).  States are generated in lexicographic label
-    order, so first-index maxima give the lexicographically smallest optimum.
+    Returns (labels, nparts, cut) in lexicographic label order, with ``cut``
+    the weight of ``W`` between different parts.
     """
-    n = g.n
-    W = g.weights
-    labels = np.zeros((1, 1), dtype=np.uint8)
-    nparts = np.ones(1, dtype=np.int64)
+    labels = np.zeros((1, 0), dtype=np.uint8)
+    nparts = np.full(1, parts)
     cut = np.zeros(1)
-    for t in range(1, n):
-        S = labels.shape[0]
-        wrow = W[t, :t]
-        wtot = float(wrow.sum())
+    for t in range(W.shape[0]):
         width = min(int(nparts.max()) + 1, kmax)
-        # pw[s, p] = weight from vertex t into part p of state s
-        pw = np.zeros((S, width))
-        for p in range(width):
-            pw[:, p] = (labels == p) @ wrow
-        nchild = np.minimum(nparts + 1, kmax)
-        total = int(nchild.sum())
-        idx = np.repeat(np.arange(S), nchild)
-        offs = np.arange(total) - np.repeat(np.cumsum(nchild) - nchild, nchild)
-        child_part = offs.astype(np.uint8)
-        is_new = offs == nparts[idx]
-        gain = wtot - np.where(is_new, 0.0, pw[idx, np.minimum(offs, width - 1)])
-        labels = np.concatenate([labels[idx], child_part[:, None]], axis=1)
-        nparts = nparts[idx] + is_new
-        cut = cut[idx] + gain
+        idx, child = np.nonzero(np.arange(width) <= np.minimum(nparts, kmax - 1)[:, None])
+        labels = np.concatenate([labels[idx], child[:, None].astype(np.uint8)], axis=1)
+        same = (labels[:, :t] == labels[:, t:]) @ W[t, :t]
+        cut = cut[idx] + W[t, :t].sum() - same
+        nparts = np.maximum(nparts[idx], child + 1)
     return labels, nparts, cut
+
+
+def _onehot(labels: np.ndarray, parts: int) -> np.ndarray:
+    """0/1 codes with column v*parts + p set when vertex v is in part p."""
+    return (labels[:, :, None] == np.arange(parts)).reshape(len(labels), -1).astype(float)
 
 
 def brute_force_table(g: Graph, kmax: int, state_cap: int = DEFAULT_STATE_CAP):
     """Best cut per exact part count j = 1..kmax: list of (value, Partition).
 
     One enumeration serves every k <= kmax, since a max-k-cut is the best
-    entry over j <= k.
+    entry over j <= k.  Each entry is the lexicographically smallest
+    canonical labeling of greatest cut among those with exactly j parts.
+
+    The vertices split into half A, the first ceil(n/2), and half B.  For
+    each labeling of A with j_A parts, B takes every labeling that extends
+    it canonically, so every canonical labeling is visited once.  A pair's
+    cut is cut_A + cut_B + W_AB.sum() minus the same-part cross weight
+    X_A (W_AB kron I) X_B^T, a GEMM of one-hot codes scanned in tiles of at
+    most ``BLOCK`` elements: memory is O(BLOCK + half tables).
     """
-    kmax = min(kmax, g.n)
-    states = enumeration_states(g.n, kmax)
+    n = g.n
+    kmax = min(kmax, n)
+    states = enumeration_states(n, kmax)
     if states > state_cap:
+        power = f" = 2^{n - 1}" if kmax == 2 else ""
         raise WorkCapExceeded(
-            f"k<={kmax} on n={g.n} needs {states} canonical states, cap {state_cap}"
+            f"k<={kmax} on n={n} needs {states}{power} canonical states, cap {state_cap}"
         )
-    labels, nparts, cut = _enumerate_levels(g, kmax)
-    table: list[tuple[float, Partition] | None] = [None] * (kmax + 1)
-    for j in range(1, kmax + 1):
-        sel = np.nonzero(nparts == j)[0]
-        if sel.size == 0:
-            continue
-        am = sel[int(np.argmax(cut[sel]))]
-        table[j] = (float(cut[am]), Partition(assignment=labels[am].astype(np.int64), k=kmax))
-    return table
+    a = (n + 1) // 2
+    W_AB = g.weights[:a, a:]
+    lab_a, parts_a, cut_a = _half(g.weights[:a, :a], 0, kmax)
+    best: list[tuple[float, tuple]] = [(-math.inf, ())] * (kmax + 1)
+    for j_a in range(1, min(a, kmax) + 1):
+        rows = np.nonzero(parts_a == j_a)[0]
+        # lhs[r] . rhs[c] = cut_A + cut_B + W_AB.sum() - same-part cross weight
+        cross = _onehot(lab_a[rows], j_a) @ np.kron(W_AB, np.eye(j_a))
+        lhs = np.hstack([cut_a[rows, None], np.ones((rows.size, 1)), -cross])
+        lab_b, parts_b, cut_b = _half(g.weights[a:, a:], j_a, kmax)
+        order = np.argsort(parts_b, kind="stable")  # lexicographic within each j
+        lab_b, cut_b = lab_b[order], cut_b[order] + W_AB.sum()
+        ends = np.searchsorted(parts_b[order], np.arange(j_a, kmax + 2))
+        width = max(1, BLOCK // lhs.shape[1])
+        for j in range(j_a, kmax + 1):
+            for c0 in range(ends[j - j_a], ends[j - j_a + 1], width):
+                c1 = min(c0 + width, ends[j - j_a + 1])
+                rhs = np.hstack([np.ones((c1 - c0, 1)), cut_b[c0:c1, None],
+                                 _onehot(lab_b[c0:c1], j_a)])
+                step = max(1, BLOCK // (c1 - c0))
+                for r0 in range(0, rows.size, step):
+                    vals = lhs[r0:r0 + step] @ rhs.T
+                    r, c = divmod(int(np.argmax(vals)), c1 - c0)
+                    val = float(vals[r, c])
+                    if val < best[j][0]:
+                        continue
+                    lab = tuple(lab_a[rows[r0 + r]].tolist() + lab_b[c0 + c].tolist())
+                    if val > best[j][0] or lab < best[j][1]:
+                        best[j] = (val, lab)
+    return [None] + [
+        (val, Partition(assignment=np.array(lab, dtype=np.int64), k=kmax))
+        for val, lab in best[1:]
+    ]
 
 
 def brute_force_maxkcut(
@@ -166,21 +166,19 @@ def brute_force_maxkcut(
 ) -> tuple[Partition, float]:
     """Exact max-k-cut of ``g`` with an optimal partition in canonical form.
 
-    Refuses with the estimated work when the enumeration would exceed the
-    caps; the practical reach is n ~ 28 for k = 2 and n ~ 14..16 for k >= 3.
+    Of the optimal partitions the one with the fewest parts is returned, and
+    of those the lexicographically smallest labeling.  ``mask_cap`` caps the
+    2^(n-1) states of k = 2 and ``state_cap`` the states of k >= 3; past a
+    cap the enumeration refuses with the state count.  The caps bound work
+    only, since memory does not grow with the states.  The default caps
+    reach n = 29 for k = 2, n = 17 for k = 3, n = 14 for k = 4 and n = 13
+    for every k; the Coxeter graph (n = 28, 2^27 states) takes about half a
+    second on one BLAS thread.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    if k == 1:
-        return Partition(assignment=np.zeros(g.n, dtype=np.int64), k=1), 0.0
-    if k == 2:
-        part, val = _maxcut_bitmask(g, mask_cap)
-        return part, val
-    table = brute_force_table(g, k, state_cap)
-    best_j = max(
-        (j for j in range(1, k + 1) if table[j] is not None),
-        key=lambda j: (table[j][0], -j),
-    )
+    table = brute_force_table(g, k, mask_cap if k == 2 else state_cap)
+    best_j = max(range(1, k + 1), key=lambda j: (table[j][0], -j))
     val, part = table[best_j]
     return Partition(assignment=part.assignment, k=k), val
 
@@ -265,20 +263,21 @@ def gap_report(
     options: SolverOptions | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> GapReport:
-    """Table of exact value, closed-form and solved bounds, and the best
-    rounded cut for ``(g, k)``; requires the exact oracle to be feasible."""
+    """Table of exact value, closed-form bounds, each solve's dual bound (an
+    upper bound even when the solver stops early) and the best rounded cut
+    for ``(g, k)``; requires the exact oracle to be feasible."""
     _, exact = brute_force_maxkcut(g, k, state_cap=state_cap)
     rows = []
     rows.append(("eigenvalue_bound", eigenvalue_bound(g, k).value))
     impr = solve(build(g, k, RelaxationKind.PERTURBED_SDP), options)
-    rows.append(("perturbed_bound", impr.objective_value))
+    rows.append(("perturbed_bound", impr.dual_bound))
     main = solve(build(g, k, RelaxationKind.MAIN_SDP), options)
-    rows.append(("main_sdp", main.objective_value))
+    rows.append(("main_sdp", main.dual_bound))
     if with_cuts:
         loop = cutting_plane_loop(
             g, k, families=("triangles", "independent_sets"), options=options
         )
-        rows.append(("main_sdp_with_cuts", loop.objective_value))
+        rows.append(("main_sdp_with_cuts", loop.dual_bound))
     _, rounded = hyperplane_round(main, g, k, trials=rounding_trials, seed=seed)
     rows.append(("best_rounded_cut", rounded))
     return GapReport(

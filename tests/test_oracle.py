@@ -1,5 +1,5 @@
-import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,17 +15,43 @@ from kcut.oracle import (
     hyperplane_round,
 )
 from kcut.relaxations import RelaxationKind, build
-from kcut.sdp import SdpSolution, solve
+from kcut.sdp import SdpSolution, SolverOptions, solve
+
+
+def reference_labelings(g, k):
+    """Independent oracle: every labeling in {0..k-1}^n, in lexicographic
+    order, with its cut weight.  Only for tiny graphs."""
+    lab = np.indices((k,) * g.n, dtype=np.int8).reshape(g.n, -1).T
+    cut = np.zeros(len(lab))
+    for u, v in zip(*np.nonzero(np.triu(g.weights, 1))):
+        cut += g.weights[u, v] * (lab[:, u] != lab[:, v])
+    return lab, cut
 
 
 def reference_maxkcut(g, k):
-    """Independent oracle: full k^n enumeration.  Only for tiny graphs."""
-    best = -1.0
-    for assign in itertools.product(range(k), repeat=g.n):
-        a = np.array(assign)
-        val = float(np.sum(g.weights[a[:, None] != a[None, :]]) / 2.0)
-        best = max(best, val)
-    return best
+    """Full k^n enumeration."""
+    return float(reference_labelings(g, k)[1].max())
+
+
+def reference_table(g, kmax):
+    """Plain lexicographic scan: for each exact part count j, the best cut
+    and the first canonical labeling that reaches it."""
+    lab, cut = reference_labelings(g, kmax)
+    prefix = np.maximum.accumulate(lab, axis=1)
+    canonical = (lab[:, 0] == 0) & np.all(lab[:, 1:] <= prefix[:, :-1] + 1, axis=1)
+    parts = prefix[:, -1] + 1
+    table = {}
+    for j in range(1, min(kmax, g.n) + 1):
+        idx = np.nonzero(canonical & (parts == j))[0]
+        i = idx[np.argmax(cut[idx])]
+        table[j] = (float(cut[i]), lab[i].astype(np.int64))
+    return table
+
+
+def reference_optimum(table, k):
+    """Tie rule of brute_force_maxkcut: best value, then fewest parts."""
+    j = max(range(1, k + 1), key=lambda j: (table[j][0], -j))
+    return table[j]
 
 
 def test_brute_force_examples():
@@ -38,11 +64,20 @@ def test_brute_force_examples():
 
 
 def test_brute_force_matches_reference(rng):
-    for trial in range(6):
-        g = random_weighted_graph(int(rng.integers(4, 8)), 0.6, rng)
-        for k in (2, 3, 4):
-            _, got = brute_force_maxkcut(g, k)
-            assert got == reference_maxkcut(g, k)
+    for n in range(4, 10):
+        g = random_weighted_graph(n, 0.6, rng)
+        ref = reference_table(g, 5)
+        table = brute_force_table(g, 5)
+        for j in range(1, min(n, 5) + 1):
+            val, part = table[j]
+            assert np.unique(part.assignment).size == j
+            assert cut_weight(g, part) == val
+            assert val == ref[j][0]
+            assert np.array_equal(part.assignment, ref[j][1])
+        for k in range(2, min(n, 5) + 1):
+            part, val = brute_force_maxkcut(g, k)
+            assert val == reference_maxkcut(g, k)
+            assert np.array_equal(part.assignment, reference_optimum(ref, k)[1])
 
 
 def test_partition_is_canonical_and_optimal(rng):
@@ -82,6 +117,51 @@ def test_table_consistency(rng):
     for k in (2, 3, 4):
         _, v = brute_force_maxkcut(g, k)
         assert v == max(best[:k])
+
+
+def test_edge_cases():
+    one = Graph(n=1, weights=np.zeros((1, 1)))
+    part, val = brute_force_maxkcut(one, 1)
+    assert val == 0.0 and part.assignment.tolist() == [0]
+    assert len(brute_force_table(one, 4)) == 2  # kmax clipped to n
+    two = Graph(n=2, weights=np.array([[0.0, 3.0], [3.0, 0.0]]))
+    assert brute_force_maxkcut(two, 1)[1] == 0.0
+    part, val = brute_force_maxkcut(two, 2)
+    assert val == 3.0 and part.assignment.tolist() == [0, 1]
+    tri = named_graph("complete", (3,))
+    part, val = brute_force_maxkcut(tri, 2)
+    assert val == 2.0 and part.assignment.tolist() == [0, 0, 1]
+    for n in range(1, 9):  # k = n, odd and even n
+        part, val = brute_force_maxkcut(named_graph("complete", (n,)), n)
+        assert val == n * (n - 1) / 2
+        assert part.assignment.tolist() == list(range(n))
+
+
+def test_tie_rule_is_lexicographic(rng):
+    part, _ = brute_force_maxkcut(named_graph("cycle", (5,)), 2)
+    assert part.assignment.tolist() == [0, 0, 1, 0, 1]
+    graphs = [named_graph("cycle", (n,)) for n in (6, 7)]
+    graphs += [named_graph("petersen"), random_graph(9, 0.5, rng), random_graph(8, 0.3, rng)]
+    for g in graphs:
+        ref = reference_table(g, 3)
+        table = brute_force_table(g, 3)
+        for j in (1, 2, 3):
+            assert np.array_equal(table[j][1].assignment, ref[j][1])
+        for k in (2, 3):
+            part, _ = brute_force_maxkcut(g, k)
+            assert np.array_equal(part.assignment, reference_optimum(ref, k)[1])
+
+
+def test_table_memory_is_bounded():
+    g = named_graph("complete", (12,))  # Bell(12) = 4,213,597 states
+    tracemalloc.start()
+    try:
+        table = brute_force_table(g, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table[12][0] == 66.0
+    assert peak <= 64 * 2**20
 
 
 def test_hyperplane_round_pentagon():
@@ -148,3 +228,11 @@ def test_gap_report_multipartite_zero_gap():
     vals = dict(rep.rows)
     assert abs(vals["eigenvalue_bound"] - 12.0) <= 1e-9  # tight, gap zero
     assert vals["best_rounded_cut"] == 12.0
+
+
+def test_gap_report_bounds_hold_under_iteration_cap():
+    rep = gap_report(named_graph("cycle", (5,)), 2, options=SolverOptions(max_iter=50))
+    assert rep.exact == 4.0
+    for name, val in rep.rows:
+        if name != "best_rounded_cut":
+            assert val >= rep.exact, name
