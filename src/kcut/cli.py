@@ -133,6 +133,11 @@ def _detect_srg(g):
         raise CliError(f"graph is not strongly regular: {exc}", EXIT_PARSE) from exc
 
 
+def _check_k(k, lo, hi):
+    if not lo <= k <= hi:
+        raise CliError(f"--k must lie in {lo}..{hi} for this graph, got {k}", EXIT_PARSE)
+
+
 def _solve_checked(model, opts):
     from .errors import CapExceeded
     from .sdp import SdpError, solve
@@ -167,8 +172,10 @@ def _cmd_bound(args):
     residuals = {}
     extra = {}
 
-    if method in ("eig", "perturbed", "sdp", "sdp+triangles", "sdp+indep", "srg") and k is None:
-        raise CliError(f"method {method} requires --k", EXIT_PARSE)
+    if method in ("eig", "perturbed", "sdp", "sdp+triangles", "sdp+indep", "srg"):
+        if k is None:
+            raise CliError(f"method {method} requires --k", EXIT_PARSE)
+        _check_k(k, 2, g.n - 1 if method == "srg" else g.n)
 
     if method == "eig":
         rep = eigenvalue_bound(g, k)
@@ -233,6 +240,7 @@ def _cmd_exact(args):
     from .oracle import brute_force_maxkcut
 
     g = _load_graph(args)
+    _check_k(args.k, 1, g.n)
     t0 = time.perf_counter()
     try:
         part, value = brute_force_maxkcut(g, args.k)

@@ -70,6 +70,8 @@ class Graph:
         W = np.asarray(self.weights, dtype=float)
         if W.shape != (self.n, self.n):
             raise ValueError(f"weights must be {self.n}x{self.n}, got {W.shape}")
+        if not np.all(np.isfinite(W)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(W, W.T):
             raise ValueError("weights must be symmetric")
         if np.any(np.diag(W) != 0.0):

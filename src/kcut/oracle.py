@@ -249,7 +249,7 @@ class GapReport:
         if self.exact is not None:
             lines.append(f"{'exact':<{width}}{self.exact:>14.6f}")
         for name, val in self.rows:
-            gap = f"  (+{val - self.exact:.6f})" if self.exact is not None else ""
+            gap = f"  ({val - self.exact:+.6f})" if self.exact is not None else ""
             lines.append(f"{name:<{width}}{val:>14.6f}{gap}")
         return "\n".join(lines)
 

@@ -8,15 +8,16 @@ self-contained.
 
 Algorithm: operator splitting in consensus form.  A shifted cone kY - J >= 0
 is removed up front by the substitution Z = kY - J, so the solver always
-works with a plain PSD cone.  The variable (in scaled upper-triangle "svec"
-coordinates, where the matrix Frobenius product is the plain dot product) is
-shared between three full blocks -- the linear objective, the PSD projection
-(one dense eigendecomposition per iteration), and the elementwise projection
-enforcing the equality and lower bounds -- plus one tiny block per cut, each
-a halfspace projection touching only its few coordinates.  Over-relaxation
-is fixed at 1.6 and the penalty parameter is auto-scaled from the objective
-norm, then rebalanced from the residual ratio.  The start point is the
-identity matrix, so runs are deterministic.
+works with a plain PSD cone.  The variable is a symmetric n-by-n matrix,
+whose Frobenius product is ``np.vdot``.  It is shared between three full
+blocks -- the linear objective, the PSD projection (one dense
+eigendecomposition per iteration), and the elementwise projection enforcing
+the equality and lower bounds -- plus one tiny block per cut, each a
+halfspace projection touching only its few upper-triangle entries (read at
+flat positions i*n + j and summed back onto both (i, j) and (j, i)).
+Over-relaxation is fixed at 1.6 and the penalty parameter is auto-scaled
+from the objective norm, then rebalanced from the residual ratio.  The start
+point is the identity matrix, so runs are deterministic.
 
 On termination a dual feasible point is assembled from the block multipliers
 (shifting the diagonal multiplier enough to make the slack matrix PSD), which
@@ -46,39 +47,9 @@ __all__ = [
     "dump_model",
 ]
 
-_SQ2 = np.sqrt(2.0)
-
 
 class SdpError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# svec coordinates: [diag entries, sqrt(2) * upper-triangle entries]
-# ---------------------------------------------------------------------------
-
-
-def _triu(n):
-    return np.triu_indices(n, 1)
-
-
-def svec(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    return np.concatenate([np.diag(M), _SQ2 * M[_triu(n)]])
-
-
-def smat(v: np.ndarray, n: int) -> np.ndarray:
-    M = np.zeros((n, n))
-    iu = _triu(n)
-    np.fill_diagonal(M, v[:n])
-    M[iu] = v[n:] / _SQ2
-    M.T[iu] = v[n:] / _SQ2
-    return M
-
-
-def _pair_coord(n: int, i: int, j: int) -> int:
-    # svec coordinate of the off-diagonal pair (i < j)
-    return n + i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 @dataclass(frozen=True)
@@ -204,54 +175,58 @@ class _SolverSpace:
     def __init__(self, model: SdpModel):
         n = model.n
         self.n = n
-        self.model = model
         k = model.cone_k if model.cone == "shifted_psd" else None
         self.k = k
         C = model.objective
+        B = model.elementwise_lower
         if k is None:
-            self.G = model.obj_scale * C
+            G = model.obj_scale * C
             self.const = 0.0
             self.diag = model.diag_values
             self.trace = model.trace_value
-            B = model.elementwise_lower
-            self.lower = None if B is None else B
         else:
-            self.G = (model.obj_scale / k) * C
+            G = (model.obj_scale / k) * C
             self.const = (model.obj_scale / k) * float(C.sum())
             self.diag = None if model.diag_values is None else k * model.diag_values - 1.0
             self.trace = None if model.trace_value is None else k * model.trace_value - n
-            B = model.elementwise_lower
-            self.lower = None if B is None else k * B - 1.0
-        self.g = svec(self.G)
-        # arity-grouped cuts: svec coordinates, svec coefficients, rhs
+            B = None if B is None else k * B - 1.0
+        # the upper triangle defines both matrices, mirrored so every iterate
+        # stays exactly symmetric; the floor leaves the diagonal free
+        self.G = np.triu(G) + np.triu(G, 1).T
+        self.floor = None
+        if B is not None:
+            self.floor = np.triu(B, 1) + np.triu(B, 1).T
+            np.fill_diagonal(self.floor, -np.inf)
+        # arity-grouped cuts: flat upper-triangle positions i*n + j,
+        # coefficients on Z, rhs, squared coefficient norms
         groups: dict[int, list] = {}
         for cut in model.cuts:
-            a = len(cut.pairs)
-            idx = [_pair_coord(n, i, j) for i, j in cut.pairs]
+            idx = [i * n + j for i, j in cut.pairs]
             if k is None:
-                coef = [c / _SQ2 for c in cut.coeffs]
-                rhs = cut.rhs
+                row = (idx, cut.coeffs, cut.rhs)
             else:
-                coef = [c / (k * _SQ2) for c in cut.coeffs]
-                rhs = cut.rhs - sum(cut.coeffs) / k
-            groups.setdefault(a, []).append((idx, coef, rhs))
+                row = (idx, [c / k for c in cut.coeffs], cut.rhs - sum(cut.coeffs) / k)
+            groups.setdefault(len(idx), []).append(row)
         self.cut_groups = []
         for a in sorted(groups):
-            rows = groups[a]
-            IDX = np.array([r[0] for r in rows], dtype=np.int64)
-            COEF = np.array([r[1] for r in rows])
-            RHS = np.array([r[2] for r in rows])
-            self.cut_groups.append((IDX, COEF, RHS))
+            idx, coef, rhs = zip(*groups[a])
+            IDX, COEF, RHS = np.array(idx), np.array(coef, float), np.array(rhs, float)
+            self.cut_groups.append((IDX, COEF, RHS, np.einsum("ca,ca->c", COEF, COEF)))
+        self.cut_idx = np.concatenate([np.zeros(0, np.int64)]
+                                      + [grp[0].ravel() for grp in self.cut_groups])
+
+    def scatter(self, values) -> np.ndarray:
+        """Sum per-position cut values (one array per group) into a symmetric
+        n-by-n matrix, each value landing on both (i, j) and (j, i)."""
+        n = self.n
+        T = np.bincount(self.cut_idx, np.concatenate(values, axis=None), n * n)
+        T = T.reshape(n, n)
+        return T + T.T
 
     def to_Y(self, Z: np.ndarray) -> np.ndarray:
         if self.k is None:
             return Z
         return (Z + 1.0) / self.k
-
-    def lower_svec(self):
-        if self.lower is None:
-            return None
-        return _SQ2 * self.lower[_triu(self.n)]
 
 
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
@@ -269,87 +244,87 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
     sp = _SolverSpace(model)
     n, m = sp.n, sp.n * (sp.n + 1) // 2
-    g = sp.g
-    rho = opts.rho if opts.rho is not None else max(float(np.linalg.norm(g)) / n, 1e-3)
+    G, floor, cut_groups = sp.G, sp.floor, sp.cut_groups
+    rho = opts.rho if opts.rho is not None else max(float(np.linalg.norm(G)) / n, 1e-3)
     alpha = opts.over_relaxation
-    lower_sv = sp.lower_svec()
-    cut_groups = sp.cut_groups
 
-    deg = np.full(m, 3.0)
-    for IDX, _, _ in cut_groups:
-        np.add.at(deg, IDX.reshape(-1), 1.0)
+    deg = 3.0 + sp.scatter([np.ones(sp.cut_idx.shape)])
+    X = np.eye(n)
+    U_obj = np.zeros((n, n))
+    U_psd = np.zeros((n, n))
+    U_el = np.zeros((n, n))
+    UC = [np.zeros(IDX.shape) for IDX, *_ in cut_groups]
 
-    x = svec(np.eye(n))
-    u_obj = np.zeros(m)
-    u_psd = np.zeros(m)
-    u_el = np.zeros(m)
-    UC = [np.zeros(IDX.shape) for IDX, _, _ in cut_groups]
-    NORMSQ = [np.einsum("ca,ca->c", COEF, COEF) for _, COEF, _ in cut_groups]
-    iu = _triu(n)
-
-    def proj_el(v):
-        out = v.copy()
+    def proj_el(V):
+        d = V.reshape(-1)[:: n + 1]
         if sp.diag is not None:
-            out[:n] = sp.diag
+            d[:] = sp.diag
         else:
-            out[:n] += (sp.trace - out[:n].sum()) / n
-        if lower_sv is not None:
-            np.maximum(out[n:], lower_sv, out=out[n:])
-        return out
+            d += (sp.trace - d.sum()) / n
+        if floor is not None:
+            np.maximum(V, floor, out=V)
+        return V
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     status = "max_iter"
     obj_hist: list[float] = []
     feas_hist: list[tuple[float, float]] = []  # (primal residual, dual-variable norm)
     r = s = np.inf
     nadapt = 0
 
+    g_rho = G / rho
     it = 0
     for it in range(1, opts.max_iter + 1):
-        zn_obj = (x - u_obj) + g / rho
-        M = smat(x - u_psd, n)
-        w, Q = np.linalg.eigh(M)
-        np.clip(w, 0.0, None, out=w)
-        zn_psd = svec((Q * w) @ Q.T)
-        zn_el = proj_el(x - u_el)
+        zn_obj = (X - U_obj) + g_rho
+        w, Q = np.linalg.eigh(X - U_psd)
+        Q *= np.sqrt(np.maximum(w, 0.0))
+        zn_psd = Q @ Q.T  # a symmetric rank-k update: exactly symmetric
+        zn_el = proj_el(X - U_el)
 
-        acc = alpha * (zn_obj + zn_psd + zn_el) + 3 * (1 - alpha) * x + (u_obj + u_psd + u_el)
-        ZN_C = []
-        for ci, (IDX, COEF, RHS) in enumerate(cut_groups):
-            V = x[IDX] - UC[ci]
+        acc = alpha * (zn_obj + zn_psd + zn_el) + 3 * (1 - alpha) * X + (U_obj + U_psd + U_el)
+        # cut blocks: halfspace projections of the entries they touch
+        xf, ZN_C, steps = X.reshape(-1), [], []
+        for (IDX, COEF, RHS, NORMSQ), uc in zip(cut_groups, UC):
+            xc = xf[IDX]
+            V = xc - uc
             viol = np.einsum("ca,ca->c", COEF, V) - RHS
             pos = viol > 0
             if pos.any():
-                V[pos] -= (viol[pos] / NORMSQ[ci][pos])[:, None] * COEF[pos]
+                V[pos] -= (viol[pos] / NORMSQ[pos])[:, None] * COEF[pos]
             ZN_C.append(V)
-            np.add.at(acc, IDX.reshape(-1),
-                      (alpha * V + (1 - alpha) * x[IDX] + UC[ci]).reshape(-1))
-        xn = acc / deg
+            steps.append(alpha * V + (1 - alpha) * xc)
+        if cut_groups:
+            acc += sp.scatter([st + uc for st, uc in zip(steps, UC)])
+        Xn = acc / deg
+        xnf = Xn.reshape(-1)
 
-        u_obj += alpha * zn_obj + (1 - alpha) * x - xn
-        u_psd += alpha * zn_psd + (1 - alpha) * x - xn
-        u_el += alpha * zn_el + (1 - alpha) * x - xn
-        for ci, (IDX, COEF, RHS) in enumerate(cut_groups):
-            UC[ci] += alpha * ZN_C[ci] + (1 - alpha) * x[IDX] - xn[IDX]
+        X_rel = (1 - alpha) * X
+        U_obj += alpha * zn_obj + X_rel - Xn
+        U_psd += alpha * zn_psd + X_rel - Xn
+        U_el += alpha * zn_el + X_rel - Xn
+        for (IDX, *_), uc, st in zip(cut_groups, UC, steps):
+            uc += st - xnf[IDX]
 
         if it % opts.check_every == 0:
-            r2 = np.sum((zn_psd - xn) ** 2) + np.sum((zn_el - xn) ** 2)
-            for ci, (IDX, _, _) in enumerate(cut_groups):
-                r2 += np.sum((ZN_C[ci] - xn[IDX]) ** 2)
+            # an off-diagonal cut entry stands for two matrix entries, so it
+            # counts twice in the Frobenius-norm residual and dual norm
+            r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
+            for (IDX, *_), V in zip(cut_groups, ZN_C):
+                r2 += 2 * np.sum((V - xnf[IDX]) ** 2)
             r = float(np.sqrt(r2))
-            s = float(rho * np.linalg.norm(xn - x))
-            obj = float(g @ xn)
+            s = float(rho * np.linalg.norm(Xn - X))
+            obj = float(np.vdot(G, Xn))
             obj_hist.append(obj)
             eps_r = np.sqrt(m) * opts.eps_abs + opts.eps_rel * max(
-                float(np.linalg.norm(xn)), float(np.linalg.norm(zn_psd)))
-            eps_s = np.sqrt(m) * opts.eps_abs + opts.eps_rel * rho * float(np.linalg.norm(u_psd))
+                float(np.linalg.norm(Xn)), float(np.linalg.norm(zn_psd)))
+            eps_s = np.sqrt(m) * opts.eps_abs + opts.eps_rel * rho * float(np.linalg.norm(U_psd))
             window = opts.stall_window // opts.check_every + 1
             stalled = (
                 len(obj_hist) > window
                 and abs(obj_hist[-1] - obj_hist[-1 - window]) <= opts.stall_tol * (1 + abs(obj))
             )
             if r <= eps_r and s <= eps_s and stalled:
-                x = xn
+                X = Xn
                 status = "converged"
                 break
             # infeasibility certificate: the primal residual pins at a positive
@@ -357,18 +332,18 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             # when user cuts contradict the other constraints)
             if it % 1000 == 0:
                 unorm = float(np.sqrt(
-                    np.sum(u_obj**2) + np.sum(u_psd**2) + np.sum(u_el**2)
-                    + sum(float(np.sum(uc**2)) for uc in UC)
+                    np.sum(U_obj**2) + np.sum(U_psd**2) + np.sum(U_el**2)
+                    + sum(2 * float(np.sum(uc**2)) for uc in UC)
                 ))
                 feas_hist.append((r, unorm))
                 if len(feas_hist) >= 12 and it > 22_000:
                     rs = [h[0] for h in feas_hist[-12:]]
                     stagnant = max(rs) - min(rs) < 1e-3 * max(min(rs), 1e-30)
-                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(xn)))
+                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(Xn)))
                     u_then = feas_hist[-12][1]
                     diverging = unorm > 1.5 * u_then + 1.0
                     if stagnant and large and diverging:
-                        x = xn
+                        X = Xn
                         status = "infeasible"
                         break
             if (
@@ -379,21 +354,19 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             ):
                 if r > 10 * s:
                     rho *= 2.0
-                    u_obj /= 2.0; u_psd /= 2.0; u_el /= 2.0
-                    for ci in range(len(UC)):
-                        UC[ci] /= 2.0
+                    for U in (U_obj, U_psd, U_el, *UC):
+                        U /= 2.0
                     nadapt += 1
                 elif s > 10 * r:
                     rho /= 2.0
-                    u_obj *= 2.0; u_psd *= 2.0; u_el *= 2.0
-                    for ci in range(len(UC)):
-                        UC[ci] *= 2.0
+                    for U in (U_obj, U_psd, U_el, *UC):
+                        U *= 2.0
                     nadapt += 1
-        x = xn
+                g_rho = G / rho
+        X = Xn
 
-    runtime = time.time() - t0
-    Z = smat(x, n)
-    Y = sp.to_Y(Z)
+    runtime = time.perf_counter() - t0
+    Y = sp.to_Y(X)
     obj_val = model.objective_value(Y)
     resid = _residuals(model, Y)
     resid["primal"] = r
@@ -401,7 +374,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
     dual_bound = gap = None
     if status != "infeasible":
-        dual_z = _dual_bound(sp, rho, u_el, UC)
+        dual_z = _dual_bound(sp, rho, U_el, UC)
         dual_bound = dual_z + sp.const
         gap = dual_bound - obj_val
 
@@ -450,7 +423,7 @@ def _residuals(model: SdpModel, Y: np.ndarray) -> dict:
     }
 
 
-def _dual_bound(sp: _SolverSpace, rho: float, u_el: np.ndarray, UC) -> float:
+def _dual_bound(sp: _SolverSpace, rho: float, U_el: np.ndarray, UC) -> float:
     """Assemble a dual feasible point from the block multipliers.
 
     For max <G,Z> s.t. diag(Z)=d (or tr), Z >= B offdiag, <A_c,Z> <= b_c,
@@ -459,14 +432,13 @@ def _dual_bound(sp: _SolverSpace, rho: float, u_el: np.ndarray, UC) -> float:
     uniformly, which keeps feasibility and costs t * sum(d) (resp. t * tr).
     """
     n = sp.n
-    Y_el = smat(rho * u_el, n)
+    Y_el = rho * U_el
     # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where the
     # lower bound is active; clip to the feasible orthant
-    M_hat = Y_el.copy()
-    np.fill_diagonal(M_hat, 0.0)
-    np.clip(M_hat, 0.0, None, out=M_hat)
-    if sp.lower is None:
-        M_hat[:] = 0.0
+    off = ~np.eye(n, dtype=bool)
+    M_hat = np.zeros((n, n))
+    if sp.floor is not None:
+        M_hat[off] = np.clip(Y_el[off], 0.0, None)
 
     S = -sp.G - M_hat
     if sp.diag is not None:
@@ -479,23 +451,22 @@ def _dual_bound(sp: _SolverSpace, rho: float, u_el: np.ndarray, UC) -> float:
         S += nu0 * np.eye(n)
         base = nu0 * sp.trace
         shift_weight = sp.trace
+    value = base
 
-    mu_total = 0.0
-    for ci, (IDX, COEF, RHS) in enumerate(sp.cut_groups):
-        yc = rho * UC[ci]
-        mu = -np.einsum("ca,ca->c", yc, COEF) / np.einsum("ca,ca->c", COEF, COEF)
-        np.clip(mu, 0.0, None, out=mu)
-        # scatter mu_c * A_c into S (svec coords back to matrix entries)
-        sv = np.zeros(n * (n + 1) // 2)
-        np.add.at(sv, IDX.reshape(-1), (mu[:, None] * COEF).reshape(-1))
-        S += smat(sv, n)
-        mu_total += float(mu @ RHS)
+    # cut c is sum_p coef_p Z_p <= rhs with A_c holding coef_p / 2 at (i, j)
+    # and (j, i); its two-sided entries double the multiplier formula
+    if sp.cut_groups:
+        MU = []
+        for (IDX, COEF, RHS, NORMSQ), uc in zip(sp.cut_groups, UC):
+            mu = np.clip(-2.0 * np.einsum("ca,ca->c", rho * uc, COEF) / NORMSQ, 0.0, None)
+            MU.append(mu[:, None] * COEF)
+            value += float(mu @ RHS)
+        S += 0.5 * sp.scatter(MU)
 
     t = max(0.0, -float(np.linalg.eigvalsh(S)[0]))
-    value = base + t * shift_weight + mu_total
-    if sp.lower is not None:
-        off = ~np.eye(n, dtype=bool)
-        value -= float(np.sum((M_hat * sp.lower)[off]))
+    value += t * shift_weight
+    if sp.floor is not None:
+        value -= float(M_hat[off] @ sp.floor[off])
     return value
 
 

@@ -89,6 +89,24 @@ def test_exit_code_parse_error(capsys):
     assert code == EXIT_PARSE  # missing --k
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "C5", "--k", "7", "--method", "sdp"),
+    ("bound", "C5", "--k", "1", "--method", "eig"),
+    ("bound", "C5", "--k", "6", "--method", "perturbed"),
+    ("bound", "C5", "--k", "5", "--method", "srg"),
+    ("exact", "C5", "--k", "9"),
+    ("exact", "C5", "--k", "0"),
+])
+def test_exit_code_k_out_of_range(tmp_path, capsys, argv):
+    path = tmp_path / "c5.txt"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    argv = [str(path) if a == "C5" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv, "--format", "edge_list")
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err
+    assert err.startswith("error: --k must lie in") and len(err.splitlines()) == 1
+
+
 def test_exit_code_srg_rejects_non_srg(tmp_path, capsys):
     path = tmp_path / "p4.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")

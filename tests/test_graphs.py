@@ -24,6 +24,9 @@ def test_graph_validation():
         Graph(n=2, weights=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="negative"):
         Graph(n=2, weights=np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Graph(n=2, weights=np.array([[0.0, bad], [bad, 0.0]]))
     g = named_graph("cycle", (4,))
     with pytest.raises(ValueError):
         g.weights[0, 1] = 5.0  # frozen storage

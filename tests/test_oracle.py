@@ -7,6 +7,7 @@ import pytest
 from conftest import random_graph, random_weighted_graph
 from kcut.graphs import Graph, cut_weight, named_graph
 from kcut.oracle import (
+    GapReport,
     WorkCapExceeded,
     brute_force_maxkcut,
     brute_force_table,
@@ -236,3 +237,18 @@ def test_gap_report_bounds_hold_under_iteration_cap():
     for name, val in rep.rows:
         if name != "best_rounded_cut":
             assert val >= rep.exact, name
+
+
+def test_gap_report_text_signs_gaps():
+    text = GapReport(graph="G", k=3, rows=(("below", 9.0), ("above", 50.0 / 3.0)),
+                     exact=15.0).to_text()
+    assert "(-6.000000)" in text and "(+1.666667)" in text
+    # the rounded cut lies below the exact value; which cut one trial finds
+    # depends on the eigenbasis LAPACK picks for Y's repeated eigenvalues
+    rep = gap_report(named_graph("petersen"), 3, with_cuts=False, rounding_trials=1, seed=0)
+    lines = dict(line.split(None, 1) for line in rep.to_text().splitlines()[1:])
+    assert lines["eigenvalue_bound"].endswith("(+1.666667)")
+    rounded = dict(rep.rows)["best_rounded_cut"]
+    assert rounded < rep.exact
+    assert lines["best_rounded_cut"].endswith(f"({rounded - rep.exact:+.6f})")
+    assert "+-" not in rep.to_text()

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_graph
 from kcut.errors import CapExceeded
 from kcut.graphs import Partition, named_graph
-from kcut.relaxations import RelaxationKind, build, triangle_cuts
+from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
     Cut,
     SdpModel,
@@ -14,21 +14,30 @@ from kcut.sdp import (
     SolverOptions,
     certify,
     dump_model,
-    smat,
     solve,
-    svec,
 )
 from kcut.spectra import lambda_max
 
 
-def test_svec_round_trip(rng):
-    M = rng.standard_normal((6, 6))
-    M = (M + M.T) / 2
-    assert np.allclose(smat(svec(M), 6), M, atol=1e-14)
-    # svec preserves the Frobenius inner product
-    N = rng.standard_normal((6, 6))
-    N = (N + N.T) / 2
-    assert abs(svec(M) @ svec(N) - np.sum(M * N)) <= 1e-10
+def test_cut_blocks_in_matrix_space():
+    # cuts on the plain psd cone, two cut arities (3 and 6) in one model, and
+    # active cuts whose multipliers the dual bound must recover in full; each
+    # cut reads one upper-triangle entry and writes both mirrored entries
+    c5 = build(named_graph("cycle", (5,)), 2, RelaxationKind.PERTURBED_SDP)
+    c5.cuts.extend(triangle_cuts(5))
+    petersen = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
+    petersen.cuts.extend(triangle_cuts(10) + independent_set_cuts(10, 3))
+    assert {len(cut.pairs) for cut in petersen.cuts} == {3, 6}
+    active = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    active.cuts.extend(triangle_cuts(5))
+    for model in (c5, petersen, active):
+        sol = solve(model)
+        assert sol.status == "optimal"
+        assert certify(model, sol).passed
+        obj = sol.objective_value
+        assert sol.dual_bound >= obj - 1e-6 * (1 + abs(obj))
+        assert np.array_equal(sol.Y, sol.Y.T)
+    assert abs(sol.objective_value - 25.0 / 6.0) <= 1e-6  # below 4.5225 uncut
 
 
 def test_model_validation():
