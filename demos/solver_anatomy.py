@@ -4,8 +4,9 @@ A relaxation is a small declarative model: a trace objective, one diagonal or
 trace equality, a (possibly shifted) semidefinite cone, optional elementwise
 lower bounds, and sparse cuts.  The solver runs an operator-splitting scheme
 whose only heavy step is one dense eigendecomposition per iteration, and it
-finishes by assembling a dual feasible point, so every solve carries its own
-optimality gap.  `certify` then re-checks all residuals independently.
+stops only when a dual feasible point assembled from its multipliers
+certifies the gap, so every solve carries its own optimality gap.  `certify`
+then re-checks all residuals independently.
 
 Run:  python demos/solver_anatomy.py
 """

@@ -65,12 +65,7 @@ def _load_solver_options(path):
             raise CliError(f"{path}:{no}: unknown solver option {key!r}", EXIT_PARSE)
         cur = getattr(opts, key)
         try:
-            if isinstance(cur, bool):
-                setattr(opts, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int):
-                setattr(opts, key, int(val))
-            else:
-                setattr(opts, key, float(val))
+            setattr(opts, key, type(cur)(val))
         except ValueError as exc:
             raise CliError(f"{path}:{no}: bad value for {key}: {val!r}", EXIT_PARSE) from exc
     return opts

@@ -78,6 +78,9 @@ class Graph:
             raise ValueError("diagonal weights must be zero (no self-loops)")
         if np.any(W < 0.0):
             raise ValueError("negative edge weights are not supported")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.n * W.sum()):
+                raise ValueError("weights too large: n times the total weight overflows")
         object.__setattr__(self, "weights", _freeze(W))
         if self.exact_laplacian_spectrum is not None:
             mults = sum(m for _, m in self.exact_laplacian_spectrum)

@@ -192,17 +192,20 @@ def hyperplane_round(
 ) -> tuple[Partition, float]:
     """Random-vector rounding of a relaxation solution to a feasible cut.
 
-    Y is factored as V^T V after clipping negative eigenvalues; each trial
-    draws k standard-normal n-vectors (PCG64 stream seeded with seed + t)
-    and assigns every vertex to the argmax inner product with its column of
-    V.  The best cut over all trials is returned; same seed, same partition.
+    Y is factored as V^T V with V its symmetric square root after clipping
+    negative eigenvalues, which unlike a factor built from eigenvectors does
+    not depend on the basis ``eigh`` picks inside a repeated eigenvalue.
+    Each trial draws k standard-normal n-vectors (PCG64 stream seeded with
+    seed + t) and assigns every vertex to the argmax inner product with its
+    column of V.  The best cut over all trials is returned; same seed, same
+    partition.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     Y = np.asarray(sol.Y, dtype=float)
     w, Q = np.linalg.eigh((Y + Y.T) / 2.0)
     w = np.clip(w, 0.0, None)
-    V = (Q * np.sqrt(w)).T  # columns V[:, v] give vertex vectors
+    V = (Q * np.sqrt(w)) @ Q.T  # columns V[:, v] give vertex vectors
     best_val = -1.0
     best_part: Partition | None = None
     for t in range(trials):

@@ -19,9 +19,13 @@ Over-relaxation is fixed at 1.6 and the penalty parameter is auto-scaled
 from the objective norm, then rebalanced from the residual ratio.  The start
 point is the identity matrix, so runs are deterministic.
 
-On termination a dual feasible point is assembled from the block multipliers
-(shifting the diagonal multiplier enough to make the slack matrix PSD), which
-yields a valid upper bound on the maximum and hence a duality-gap estimate.
+One stopping rule, checked every 25 iterations: the model residuals of the
+current iterate (equality, lower bound, cuts, least cone eigenvalue) must be
+within tolerance, and then a dual feasible point assembled from the block
+multipliers (shifting the diagonal multiplier enough to make the slack
+matrix PSD) must give a weak-duality upper bound within ``tol_gap`` of the
+objective.  A solve is ``optimal`` exactly when this certified test stopped
+it; the dual bound stays a valid upper bound however the loop ends.
 """
 
 from __future__ import annotations
@@ -129,19 +133,15 @@ class SdpModel:
 
 @dataclass
 class SolverOptions:
-    tol_eq: float = 1e-7
-    tol_psd: float = 1e-7
-    tol_gap: float = 1e-6  # scaled by (1 + |objective|)
+    tol_eq: float = 1e-7  # equality, lower-bound and cut residuals
+    tol_psd: float = 1e-7  # least eigenvalue of the cone matrix, from below
+    tol_gap: float = 1e-6  # certified duality gap, scaled by (1 + |objective|)
     max_iter: int = 200_000
-    over_relaxation: float = 1.6
-    rho: float | None = None  # auto from objective norm if None
-    adapt_penalty: bool = True
-    eps_abs: float = 1e-10
-    eps_rel: float = 1e-10
-    stall_tol: float = 1e-10  # objective stall, scaled by (1 + |objective|)
-    stall_window: int = 50
-    check_every: int = 25
     n_cap: int = 500
+
+
+_ALPHA = 1.6  # over-relaxation
+_CHECK_EVERY = 25  # iterations between stop tests
 
 
 @dataclass
@@ -232,21 +232,24 @@ class _SolverSpace:
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the model; see the module docstring for the scheme.
 
-    Returns a solution whose residuals are measured on the reported Y.  The
-    status is ``optimal`` only when the equality/cone/cut residuals meet the
-    option tolerances and the constructed duality gap is within ``tol_gap``;
-    an iteration-capped run returns its best iterate with ``max_iter``.
-    A stalling run with a persistent drift direction (possible only with
-    mutually inconsistent cuts) is reported ``infeasible``.
+    The loop stops with status ``optimal`` only when, at a check, the
+    equality, lower-bound and cut residuals are within ``tol_eq``, the cone
+    matrix has no eigenvalue below ``-tol_psd`` and the certified duality gap
+    is within ``tol_gap * (1 + |objective|)``; ``sol.residuals`` and
+    ``sol.gap`` are the figures that test read.  An iteration-capped run
+    returns its last iterate with ``max_iter``.  A run whose primal residual
+    pins while the dual variables drift (possible only with mutually
+    inconsistent cuts) is reported ``infeasible``.  The residuals also carry
+    the ADMM ``primal`` and ``dual`` residuals of the last check.
     """
     opts = options or SolverOptions()
     if model.n > opts.n_cap:
         raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
     sp = _SolverSpace(model)
-    n, m = sp.n, sp.n * (sp.n + 1) // 2
+    n = sp.n
     G, floor, cut_groups = sp.G, sp.floor, sp.cut_groups
-    rho = opts.rho if opts.rho is not None else max(float(np.linalg.norm(G)) / n, 1e-3)
-    alpha = opts.over_relaxation
+    rho = max(float(np.linalg.norm(G)) / n, 1e-3)
+    alpha = _ALPHA
 
     deg = 3.0 + sp.scatter([np.ones(sp.cut_idx.shape)])
     X = np.eye(n)
@@ -267,7 +270,6 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
     t0 = time.perf_counter()
     status = "max_iter"
-    obj_hist: list[float] = []
     feas_hist: list[tuple[float, float]] = []  # (primal residual, dual-variable norm)
     r = s = np.inf
     nadapt = 0
@@ -305,7 +307,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         for (IDX, *_), uc, st in zip(cut_groups, UC, steps):
             uc += st - xnf[IDX]
 
-        if it % opts.check_every == 0:
+        if it % _CHECK_EVERY == 0:
             # an off-diagonal cut entry stands for two matrix entries, so it
             # counts twice in the Frobenius-norm residual and dual norm
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
@@ -313,20 +315,15 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 r2 += 2 * np.sum((V - xnf[IDX]) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            obj = float(np.vdot(G, Xn))
-            obj_hist.append(obj)
-            eps_r = np.sqrt(m) * opts.eps_abs + opts.eps_rel * max(
-                float(np.linalg.norm(Xn)), float(np.linalg.norm(zn_psd)))
-            eps_s = np.sqrt(m) * opts.eps_abs + opts.eps_rel * rho * float(np.linalg.norm(U_psd))
-            window = opts.stall_window // opts.check_every + 1
-            stalled = (
-                len(obj_hist) > window
-                and abs(obj_hist[-1] - obj_hist[-1 - window]) <= opts.stall_tol * (1 + abs(obj))
-            )
-            if r <= eps_r and s <= eps_s and stalled:
-                X = Xn
-                status = "converged"
-                break
+            X = Xn
+            resid = _residuals(sp, X)
+            if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
+                    <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
+                obj = float(np.vdot(G, X)) + sp.const
+                dual_bound = _dual_bound(sp, rho, U_el, UC) + sp.const
+                if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
+                    status = "optimal"
+                    break
             # infeasibility certificate: the primal residual pins at a positive
             # constant while the dual variables diverge linearly (possible only
             # when user cuts contradict the other constraints)
@@ -339,19 +336,13 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 if len(feas_hist) >= 12 and it > 22_000:
                     rs = [h[0] for h in feas_hist[-12:]]
                     stagnant = max(rs) - min(rs) < 1e-3 * max(min(rs), 1e-30)
-                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(Xn)))
+                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(X)))
                     u_then = feas_hist[-12][1]
                     diverging = unorm > 1.5 * u_then + 1.0
                     if stagnant and large and diverging:
-                        X = Xn
                         status = "infeasible"
                         break
-            if (
-                opts.adapt_penalty
-                and it % 200 == 0
-                and it <= 20_000
-                and nadapt < 40
-            ):
+            if it % 200 == 0 and it <= 20_000 and nadapt < 40:
                 if r > 10 * s:
                     rho *= 2.0
                     for U in (U_obj, U_psd, U_el, *UC):
@@ -366,60 +357,44 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         X = Xn
 
     runtime = time.perf_counter() - t0
-    Y = sp.to_Y(X)
-    obj_val = model.objective_value(Y)
-    resid = _residuals(model, Y)
+    if status != "optimal":
+        resid = _residuals(sp, X)
+        obj = float(np.vdot(G, X)) + sp.const
+        dual_bound = None if status == "infeasible" else _dual_bound(sp, rho, U_el, UC) + sp.const
     resid["primal"] = r
     resid["dual"] = s
 
-    dual_bound = gap = None
-    if status != "infeasible":
-        dual_z = _dual_bound(sp, rho, U_el, UC)
-        dual_bound = dual_z + sp.const
-        gap = dual_bound - obj_val
-
-    if status == "converged":
-        ok = (
-            resid["equality"] <= opts.tol_eq
-            and resid["cone_min_eig"] >= -opts.tol_psd
-            and resid["lower_violation"] <= opts.tol_eq
-            and resid["cut_violation"] <= opts.tol_eq
-            and (gap is None or gap <= opts.tol_gap * (1 + abs(obj_val)) )
-        )
-        status = "optimal" if ok else "max_iter"
-
     return SdpSolution(
-        Y=Y,
-        objective_value=obj_val,
+        Y=sp.to_Y(X),
+        objective_value=obj,
         status=status,
         residuals=resid,
         dual_bound=dual_bound,
-        gap=gap,
+        gap=None if dual_bound is None else dual_bound - obj,
         iterations=it,
         runtime=runtime,
         info={"rho": rho, "penalty_adaptations": nadapt, "model": model.name},
     )
 
 
-def _residuals(model: SdpModel, Y: np.ndarray) -> dict:
-    n = model.n
-    if model.diag_values is not None:
-        eq = float(np.max(np.abs(np.diag(Y) - model.diag_values)))
-    else:
-        eq = float(abs(np.trace(Y) - model.trace_value))
-    cone_M = model.cone_k * Y - 1.0 if model.cone == "shifted_psd" else Y
-    cone_min = float(np.linalg.eigvalsh(cone_M)[0])
-    if model.elementwise_lower is not None:
-        off = ~np.eye(n, dtype=bool)
-        low = float(np.max(np.clip(model.elementwise_lower - Y, 0.0, None)[off], initial=0.0))
-    else:
-        low = 0.0
-    cutv = max((cut.value(Y) - cut.rhs for cut in model.cuts), default=0.0)
+def _residuals(sp: _SolverSpace, Z: np.ndarray) -> dict:
+    """Model residuals of the solver-space iterate Z, in the units of Y.
+
+    Z is the cone matrix itself (kY - J, or Y on the plain cone), cut values
+    read through the transformed cuts equal those on Y, and the equality and
+    lower-bound residuals on Z are k times those on Y.
+    """
+    k = sp.k or 1
+    d = np.diagonal(Z)
+    eq = np.max(np.abs(d - sp.diag)) if sp.diag is not None else abs(d.sum() - sp.trace)
+    low = 0.0 if sp.floor is None else np.max(sp.floor - Z)
+    cutv = max((float(np.max(np.einsum("ca,ca->c", COEF, Z.reshape(-1)[IDX]) - RHS))
+                for IDX, COEF, RHS, _ in sp.cut_groups), default=0.0)
     return {
-        "equality": eq,
-        "cone_min_eig": cone_min,
-        "lower_violation": low,
-        "cut_violation": float(max(cutv, 0.0)),
+        "equality": float(eq) / k,
+        "cone_min_eig": float(np.linalg.eigvalsh(Z)[0]),
+        "lower_violation": max(float(low), 0.0) / k,
+        "cut_violation": max(cutv, 0.0),
     }
 
 

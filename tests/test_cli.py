@@ -89,6 +89,14 @@ def test_exit_code_parse_error(capsys):
     assert code == EXIT_PARSE  # missing --k
 
 
+def test_exit_code_overflowing_weight(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("2 1\n0 1 1e308\n")
+    code, _, err = run_cli(capsys, "bound", str(path), "--k", "2", "--method", "eig")
+    assert code == EXIT_PARSE
+    assert err.startswith("error: weights too large") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "C5", "--k", "7", "--method", "sdp"),
     ("bound", "C5", "--k", "1", "--method", "eig"),
@@ -133,10 +141,11 @@ def test_exit_code_solver_failure(tmp_path, capsys):
 
 def test_config_parsing_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_option = 1\n")
-    code, _, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
-                           "--method", "sdp", "--config", str(cfg))
-    assert code == EXIT_PARSE and "unknown solver option" in err
+    for line in ("no_such_option = 1", "eps_abs = 1e-8"):
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
+                               "--method", "sdp", "--config", str(cfg))
+        assert code == EXIT_PARSE and "unknown solver option" in err
 
 
 def test_conjecture_command(tmp_path, capsys):

@@ -27,6 +27,8 @@ def test_graph_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="weights must be finite"):
             Graph(n=2, weights=np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError, match="weights too large"):
+        Graph(n=2, weights=np.array([[0.0, 1e308], [1e308, 0.0]]))
     g = named_graph("cycle", (4,))
     with pytest.raises(ValueError):
         g.weights[0, 1] = 5.0  # frozen storage

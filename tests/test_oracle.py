@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ def test_rounding_seeded_determinism_and_bounds(rng):
     assert v1 <= exact
 
 
+def test_rounding_ignores_the_eigenbasis_of_repeated_eigenvalues():
+    # Petersen's main-SDP Y has eigenvalues of multiplicity 5 and 4; a
+    # rounding-level change to Y may rotate eigh's basis inside them, but must
+    # not change the partition a seed gives
+    g = named_graph("petersen")
+    sol = solve(build(g, 3, RelaxationKind.MAIN_SDP))
+    E = np.random.default_rng(0).standard_normal((10, 10))
+    moved = replace(sol, Y=sol.Y + 1e-13 * (E + E.T))
+    for seed in range(10):
+        p1, v1 = hyperplane_round(sol, g, 3, trials=5, seed=seed)
+        p2, v2 = hyperplane_round(moved, g, 3, trials=5, seed=seed)
+        assert v1 == v2 and np.array_equal(p1.assignment, p2.assignment), seed
+
+
 def test_gap_report_pentagon():
     rep = gap_report(named_graph("cycle", (5,)), 2, seed=1)
     vals = dict(rep.rows)
@@ -243,8 +258,7 @@ def test_gap_report_text_signs_gaps():
     text = GapReport(graph="G", k=3, rows=(("below", 9.0), ("above", 50.0 / 3.0)),
                      exact=15.0).to_text()
     assert "(-6.000000)" in text and "(+1.666667)" in text
-    # the rounded cut lies below the exact value; which cut one trial finds
-    # depends on the eigenbasis LAPACK picks for Y's repeated eigenvalues
+    # the rounded cut lies below the exact value
     rep = gap_report(named_graph("petersen"), 3, with_cuts=False, rounding_trials=1, seed=0)
     lines = dict(line.split(None, 1) for line in rep.to_text().splitlines()[1:])
     assert lines["eigenvalue_bound"].endswith("(+1.666667)")

@@ -142,6 +142,24 @@ def test_max_iter_status():
     assert "primal" in sol.residuals
 
 
+def _certified(sol, opts):
+    res = sol.residuals
+    return (max(res["equality"], res["lower_violation"], res["cut_violation"]) <= opts.tol_eq
+            and res["cone_min_eig"] >= -opts.tol_psd
+            and sol.gap <= opts.tol_gap * (1 + abs(sol.objective_value)))
+
+
+def test_stop_rule_is_the_certified_test():
+    # the loop stops at the first check that passes the certified test, so
+    # one check earlier the same solve must still fail it
+    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    opts = SolverOptions()
+    sol = solve(model)
+    assert sol.status == "optimal" and _certified(sol, opts)
+    early = solve(model, SolverOptions(max_iter=sol.iterations - 25))
+    assert early.status == "max_iter" and not _certified(early, opts)
+
+
 def test_n_cap():
     with pytest.raises(CapExceeded):
         solve(build(named_graph("cycle", (12,)), 2, RelaxationKind.MAIN_SDP),
