@@ -1,10 +1,11 @@
 """Command-line interface: bound / exact / conjecture / reproduce.
 
-Exit codes: 0 success, 2 parse or usage error, 3 solver failure, 4 work or
-size cap exceeded.  Every command can emit JSON (--json) with stable keys
-(graph, k, method, value, residuals, runtime_ms).  The KCUT_THREADS
-environment variable caps BLAS-level parallelism; heavy imports happen after
-it is applied, so it takes effect for the whole run.
+Exit codes: 0 success, 2 parse or usage error, 3 solver failure (an
+eigensolver failure included), 4 work or size cap exceeded.  Every command
+can emit JSON (--json) with stable keys (graph, k, method, value, residuals,
+runtime_ms); the SDP methods of ``bound`` add dual_bound and iterations.
+The KCUT_THREADS environment variable caps BLAS-level parallelism; heavy
+imports happen after it is applied, so it takes effect for the whole run.
 """
 
 from __future__ import annotations
@@ -153,8 +154,17 @@ def _solve_checked(model, opts):
 
 
 def _cmd_bound(args):
-    import math
+    from numpy.linalg import LinAlgError
 
+    from .spectra import SpectraError
+
+    try:
+        return _bound(args)
+    except (LinAlgError, SpectraError) as exc:
+        raise CliError(f"numerical failure: {exc}", EXIT_SOLVER) from exc
+
+
+def _bound(args):
     from .bounds import chromatic_lower_bound, eigenvalue_bound, hoffman_bound, srg_sdp_bound
     from .errors import CapExceeded
     from .relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
@@ -166,6 +176,7 @@ def _cmd_bound(args):
     t0 = time.perf_counter()
     residuals = {}
     extra = {}
+    sol = None
 
     if method in ("eig", "perturbed", "sdp", "sdp+triangles", "sdp+indep", "srg"):
         if k is None:
@@ -218,6 +229,8 @@ def _cmd_bound(args):
         **extra,
     }
     if args.json:
+        if sol is not None:
+            payload.update(dual_bound=sol.dual_bound, iterations=sol.iterations)
         print(json.dumps(payload, indent=2))
     else:
         bits = [payload["graph"], f"method={method}"]

@@ -83,7 +83,17 @@ class KravchukTable:
 def kravchuk_table(d: int, q: int) -> KravchukTable:
     if q < 2 or d < 0:
         raise ValueError("need q >= 2 and d >= 0")
-    K = tuple(tuple(kravchuk(d, q, j, i) for i in range(d + 1)) for j in range(d + 1))
+    # rows by the exact three-term recurrence, from K_0 = 1 and K_-1 = 0:
+    # (j+1) K_{j+1}(i) = ((q-1)(d-j) + j - qi) K_j(i) - (q-1)(d-j+1) K_{j-1}(i),
+    # whose division by j + 1 leaves no remainder
+    rows = [[1] * (d + 1)]
+    prev = [0] * (d + 1)
+    for j in range(d):
+        cur = rows[-1]
+        a, b = (q - 1) * (d - j) + j, (q - 1) * (d - j + 1)
+        rows.append([((a - q * i) * cur[i] - b * prev[i]) // (j + 1) for i in range(d + 1)])
+        prev = cur
+    K = tuple(tuple(row) for row in rows)
     mult = tuple(comb(d, i) * (q - 1) ** i for i in range(d + 1))
     assert sum(mult) == q**d
     return KravchukTable(d=d, q=q, K=K, multiplicities=mult)

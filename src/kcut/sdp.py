@@ -9,28 +9,41 @@ self-contained.
 Algorithm: operator splitting in consensus form.  A shifted cone kY - J >= 0
 is removed up front by the substitution Z = kY - J, so the solver always
 works with a plain PSD cone.  The variable is a symmetric n-by-n matrix,
-whose Frobenius product is ``np.vdot``.  It is shared between three full
-blocks -- the linear objective, the PSD projection (one dense
-eigendecomposition per iteration), and the elementwise projection enforcing
-the equality and lower bounds -- plus one tiny block per cut, each a
-halfspace projection touching only its few upper-triangle entries (read at
-flat positions i*n + j and summed back onto both (i, j) and (j, i)).
-Over-relaxation is fixed at 1.6 and the penalty parameter is auto-scaled
-from the objective norm, then rebalanced from the residual ratio.  The start
-point is the identity matrix, so runs are deterministic.
+whose Frobenius product is ``np.vdot``.  It is shared between two full
+blocks -- the PSD projection (one dense eigendecomposition per iteration)
+and the elementwise projection enforcing the equality and lower bounds,
+into which the linear objective folds as a shift of the projected point --
+plus one tiny block per cut, each a halfspace projection touching only its
+few upper-triangle entries (read at flat positions i*n + j and summed back
+onto both (i, j) and (j, i)).  Over-relaxation is fixed at 1.6 and the
+penalty parameter is auto-scaled from the objective norm, then rebalanced
+from the residual ratio.  The start point is the identity matrix, so runs
+are deterministic.
 
-One stopping rule, checked every 25 iterations: the model residuals of the
-current iterate (equality, lower bound, cuts, least cone eigenvalue) must be
-within tolerance, and then a dual feasible point assembled from the block
-multipliers (shifting the diagonal multiplier enough to make the slack
-matrix PSD) must give a weak-duality upper bound within ``tol_gap`` of the
-objective.  A solve is ``optimal`` exactly when this certified test stopped
-it; the dual bound stays a valid upper bound however the loop ends.
+The ADMM step x -> T(x) on the state x = (X, U_el, cut duals) is sped up by
+safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
+1e-10 times its trace, and a revert to the plain step, with the history
+cleared, whenever the accelerated point's fixed-point residual is larger
+than that of the point before it (or not finite).  The history is cleared on
+every penalty change, and acceleration stops after 500 reverts or at
+iteration 20,000, where penalty rebalancing stops too.  The history keeps
+the upper triangles only and is O(n^2): models whose cut entries number
+more than n(n+1) run plain ADMM.
+
+One stopping rule, checked every 25 iterations on the plain step's output:
+the model residuals of that iterate (equality, lower bound, cuts, least cone
+eigenvalue) must be within tolerance, and then a dual feasible point
+assembled from the block multipliers (shifting the diagonal multiplier
+enough to make the slack matrix PSD) must give a weak-duality upper bound
+within ``tol_gap`` of the objective.  A solve is ``optimal`` exactly when
+this certified test stopped it; the dual bound stays a valid upper bound
+however the loop ends.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -142,6 +155,10 @@ class SolverOptions:
 
 _ALPHA = 1.6  # over-relaxation
 _CHECK_EVERY = 25  # iterations between stop tests
+_ADAPT_UNTIL = 20_000  # penalty rebalancing and acceleration stop here
+_AA_DEPTH = 10  # Anderson history length
+_AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
+_AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
 
 
 @dataclass
@@ -207,26 +224,114 @@ class _SolverSpace:
             else:
                 row = (idx, [c / k for c in cut.coeffs], cut.rhs - sum(cut.coeffs) / k)
             groups.setdefault(len(idx), []).append(row)
-        self.cut_groups = []
+        self.cut_groups, self.cut_slices, start = [], [], 0
         for a in sorted(groups):
             idx, coef, rhs = zip(*groups[a])
             IDX, COEF, RHS = np.array(idx), np.array(coef, float), np.array(rhs, float)
             self.cut_groups.append((IDX, COEF, RHS, np.einsum("ca,ca->c", COEF, COEF)))
+            self.cut_slices.append(slice(start, start + IDX.size))
+            start += IDX.size
         self.cut_idx = np.concatenate([np.zeros(0, np.int64)]
                                       + [grp[0].ravel() for grp in self.cut_groups])
 
-    def scatter(self, values) -> np.ndarray:
-        """Sum per-position cut values (one array per group) into a symmetric
-        n-by-n matrix, each value landing on both (i, j) and (j, i)."""
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-position cut values (flat, in ``cut_idx`` order) into a
+        symmetric n-by-n matrix, each value landing on both (i, j) and (j, i)."""
         n = self.n
-        T = np.bincount(self.cut_idx, np.concatenate(values, axis=None), n * n)
-        T = T.reshape(n, n)
+        T = np.bincount(self.cut_idx, values, n * n).reshape(n, n)
         return T + T.T
+
+    def state(self):
+        """A zeroed solver state (buffer, X, U_el, cut duals): the last three
+        are views of the flat buffer, the state vector being accelerated."""
+        n, nn = self.n, self.n * self.n
+        buf = np.zeros(2 * nn + self.cut_idx.size)
+        return buf, buf[:nn].reshape(n, n), buf[nn:2 * nn].reshape(n, n), buf[2 * nn:]
 
     def to_Y(self, Z: np.ndarray) -> np.ndarray:
         if self.k is None:
-            return Z
+            return Z.copy()
         return (Z + 1.0) / self.k
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of the ADMM map x -> T(x)
+    (Walker & Ni 2011; the safeguard follows Zhang, O'Donoghue & Boyd 2020).
+
+    The history holds the last ``_AA_DEPTH`` differences of f = T(x) - x and
+    of T(x) in ring buffers, with the Gram matrix of the f differences grown
+    one row per iteration.  The state is symmetric, so the history keeps only
+    the upper triangles of X and U_el (plus the cut duals): half the memory.
+    """
+
+    def __init__(self, sp: _SolverSpace):
+        n, nn = sp.n, sp.n * sp.n
+        iu, ju = np.triu_indices(n)
+        up, lo = iu * n + ju, ju * n + iu
+        self.pack = np.concatenate([up, nn + up, 2 * nn + np.arange(sp.cut_idx.size)])
+        self.mirror = np.concatenate([lo, nn + lo])
+        m = _AA_DEPTH
+        self.dF, self.dT = np.empty((m, self.pack.size)), np.empty((m, self.pack.size))
+        self.gram, self.eye = np.zeros((m, m)), np.eye(m)
+        self.sq = [0.0] * m  # the Gram diagonal
+        self.steps = self.rejected = 0
+        self.fn_base = np.inf
+        self.clear()
+
+    def clear(self):
+        self.hist = self.slot = 0
+        self.pending = False
+        self.f_prev = self.t_prev = None
+
+    def _unpack(self, v: np.ndarray, xb: np.ndarray):
+        xb[self.pack] = v
+        xb[self.mirror] = v[: self.mirror.size]
+
+    def advance(self, xb: np.ndarray, yb: np.ndarray) -> bool:
+        """Given the state xb and its plain step yb = T(xb), write the next
+        iterate into xb and return True, or return False for xb <- yb."""
+        t = yb[self.pack]
+        f = self.dF[self.slot]
+        np.subtract(t, xb[self.pack], out=f)
+        fn = math.sqrt(np.dot(f, f))
+        if self.pending:
+            self.pending = False
+            if not fn <= self.fn_base:
+                # the accelerated point did worse than the point before it:
+                # take that point's plain step and start a new history
+                self.rejected += 1
+                self._unpack(self.t_prev, xb)
+                self.clear()
+                return True
+        if self.t_prev is None:
+            self.f_prev, self.t_prev = f.copy(), t
+            return False
+        f -= self.f_prev  # the new column of dF; f_prev becomes f
+        self.f_prev += f
+        np.subtract(t, self.t_prev, out=self.dT[self.slot])
+        self.t_prev = t
+        h = self.hist = min(self.hist + 1, _AA_DEPTH)
+        row = self.dF[:h] @ f
+        self.gram[self.slot, :h] = row
+        self.gram[:h, self.slot] = row
+        self.sq[self.slot] = float(row[self.slot])
+        self.slot = (self.slot + 1) % _AA_DEPTH
+        tr = sum(self.sq[:h])
+        if not 0.0 < tr < np.inf:
+            self.clear()
+            return False
+        A = self.gram[:h, :h] + (_AA_RIDGE * tr) * self.eye[:h, :h]
+        gamma = np.linalg.solve(A, self.dF[:h] @ self.f_prev)
+        cand = t - gamma @ self.dT[:h]
+        if not math.isfinite(np.dot(cand, cand)):
+            self.rejected += 1
+            self.clear()
+            return False
+        self._unpack(cand, xb)
+        self.pending = True
+        self.fn_base = fn
+        self.steps += 1
+        return True
 
 
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
@@ -236,27 +341,36 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     equality, lower-bound and cut residuals are within ``tol_eq``, the cone
     matrix has no eigenvalue below ``-tol_psd`` and the certified duality gap
     is within ``tol_gap * (1 + |objective|)``; ``sol.residuals`` and
-    ``sol.gap`` are the figures that test read.  An iteration-capped run
-    returns its last iterate with ``max_iter``.  A run whose primal residual
-    pins while the dual variables drift (possible only with mutually
-    inconsistent cuts) is reported ``infeasible``.  The residuals also carry
-    the ADMM ``primal`` and ``dual`` residuals of the last check.
+    ``sol.gap`` are the figures that test read.  Anderson acceleration only
+    chooses where the next plain ADMM step starts: every check reads a plain
+    step's output, so it changes how soon a solve certifies, never what is
+    certified.  An iteration-capped run returns its last iterate with
+    ``max_iter``.  A run whose primal residual pins while the dual variables
+    drift (possible only with mutually inconsistent cuts) is reported
+    ``infeasible``.  The residuals also carry the ADMM ``primal`` and
+    ``dual`` residuals of the last check; ``sol.info`` counts the accepted
+    (``aa_steps``) and rejected (``aa_rejected``) accelerated steps.
     """
     opts = options or SolverOptions()
     if model.n > opts.n_cap:
         raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
     sp = _SolverSpace(model)
-    n = sp.n
-    G, floor, cut_groups = sp.G, sp.floor, sp.cut_groups
+    n, nn = sp.n, sp.n * sp.n
+    G, floor, cut_idx = sp.G, sp.floor, sp.cut_idx
+    ncut = cut_idx.size
     rho = max(float(np.linalg.norm(G)) / n, 1e-3)
     alpha = _ALPHA
 
-    deg = 3.0 + sp.scatter([np.ones(sp.cut_idx.shape)])
-    X = np.eye(n)
-    U_obj = np.zeros((n, n))
+    deg = 2.0 + sp.scatter(np.ones(ncut))
+    # x is the iterate, y = T(x) the plain ADMM step from it.  Every step
+    # keeps U_psd + U_el + scatter(UC) = 0, so the PSD block's scaled dual is
+    # not part of the state: plain steps carry it along (recovering it would
+    # scatter every cut entry a second time) and it is recovered from the
+    # invariant whenever acceleration moves the state
+    x, y = sp.state(), sp.state()
+    np.fill_diagonal(x[1], 1.0)
     U_psd = np.zeros((n, n))
-    U_el = np.zeros((n, n))
-    UC = [np.zeros(IDX.shape) for IDX, *_ in cut_groups]
+    last = x
 
     def proj_el(V):
         d = V.reshape(-1)[:: n + 1]
@@ -268,6 +382,10 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             np.maximum(V, floor, out=V)
         return V
 
+    # cut-heavy models, whose state is dominated by cut duals, run plain
+    # ADMM, so the Anderson history stays O(n^2)
+    aa = _Anderson(sp) if ncut <= n * (n + 1) else None
+
     t0 = time.perf_counter()
     status = "max_iter"
     feas_hist: list[tuple[float, float]] = []  # (primal residual, dual-variable norm)
@@ -277,50 +395,51 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     g_rho = G / rho
     it = 0
     for it in range(1, opts.max_iter + 1):
-        zn_obj = (X - U_obj) + g_rho
+        xb, X, U_el, uc = x
+        yb, Xn, U_eln, ucn = y
+        last = y
+        X_rel = (1 - alpha) * X
+        if ncut:
+            # cut blocks: halfspace projections of the entries they touch
+            xc = X.reshape(-1)[cut_idx]
+            V = xc - uc
+            for (IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_groups, sp.cut_slices):
+                Vg = V[sl].reshape(IDX.shape)
+                viol = np.einsum("ca,ca->c", COEF, Vg) - RHS
+                pos = viol > 0
+                if pos.any():
+                    Vg[pos] -= (viol[pos] / NORMSQ[pos])[:, None] * COEF[pos]
+            step = alpha * V + (1 - alpha) * xc
         w, Q = np.linalg.eigh(X - U_psd)
         Q *= np.sqrt(np.maximum(w, 0.0))
         zn_psd = Q @ Q.T  # a symmetric rank-k update: exactly symmetric
-        zn_el = proj_el(X - U_el)
+        # the linear objective rides in the elementwise prox as a shift
+        zn_el = proj_el(X - U_el + g_rho)
 
-        acc = alpha * (zn_obj + zn_psd + zn_el) + 3 * (1 - alpha) * X + (U_obj + U_psd + U_el)
-        # cut blocks: halfspace projections of the entries they touch
-        xf, ZN_C, steps = X.reshape(-1), [], []
-        for (IDX, COEF, RHS, NORMSQ), uc in zip(cut_groups, UC):
-            xc = xf[IDX]
-            V = xc - uc
-            viol = np.einsum("ca,ca->c", COEF, V) - RHS
-            pos = viol > 0
-            if pos.any():
-                V[pos] -= (viol[pos] / NORMSQ[pos])[:, None] * COEF[pos]
-            ZN_C.append(V)
-            steps.append(alpha * V + (1 - alpha) * xc)
-        if cut_groups:
-            acc += sp.scatter([st + uc for st, uc in zip(steps, UC)])
-        Xn = acc / deg
-        xnf = Xn.reshape(-1)
-
-        X_rel = (1 - alpha) * X
-        U_obj += alpha * zn_obj + X_rel - Xn
+        acc = alpha * (zn_psd + zn_el) + 2 * X_rel + (U_psd + U_el)
+        if ncut:
+            acc += sp.scatter(step + uc)
+        np.divide(acc, deg, out=Xn)
         U_psd += alpha * zn_psd + X_rel - Xn
-        U_el += alpha * zn_el + X_rel - Xn
-        for (IDX, *_), uc, st in zip(cut_groups, UC, steps):
-            uc += st - xnf[IDX]
+        np.subtract(alpha * zn_el + X_rel + U_el, Xn, out=U_eln)
+        if ncut:
+            xnc = Xn.reshape(-1)[cut_idx]
+            np.subtract(uc + step, xnc, out=ucn)
 
+        adapted = False
         if it % _CHECK_EVERY == 0:
             # an off-diagonal cut entry stands for two matrix entries, so it
             # counts twice in the Frobenius-norm residual and dual norm
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
-            for (IDX, *_), V in zip(cut_groups, ZN_C):
-                r2 += 2 * np.sum((V - xnf[IDX]) ** 2)
+            if ncut:
+                r2 += 2 * np.sum((V - xnc) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            X = Xn
-            resid = _residuals(sp, X)
+            resid = _residuals(sp, Xn)
             if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                     <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
-                obj = float(np.vdot(G, X)) + sp.const
-                dual_bound = _dual_bound(sp, rho, U_el, UC) + sp.const
+                obj = float(np.vdot(G, Xn)) + sp.const
+                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * ucn) + sp.const
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
@@ -328,39 +447,49 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             # constant while the dual variables diverge linearly (possible only
             # when user cuts contradict the other constraints)
             if it % 1000 == 0:
-                unorm = float(np.sqrt(
-                    np.sum(U_obj**2) + np.sum(U_psd**2) + np.sum(U_el**2)
-                    + sum(2 * float(np.sum(uc**2)) for uc in UC)
-                ))
+                unorm = float(np.sqrt(np.sum(U_psd**2) + np.sum(U_eln**2)
+                                      + 2 * np.sum(ucn**2)))
                 feas_hist.append((r, unorm))
                 if len(feas_hist) >= 12 and it > 22_000:
                     rs = [h[0] for h in feas_hist[-12:]]
                     stagnant = max(rs) - min(rs) < 1e-3 * max(min(rs), 1e-30)
-                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(X)))
+                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(Xn)))
                     u_then = feas_hist[-12][1]
                     diverging = unorm > 1.5 * u_then + 1.0
                     if stagnant and large and diverging:
                         status = "infeasible"
                         break
-            if it % 200 == 0 and it <= 20_000 and nadapt < 40:
+            if it % 200 == 0 and it <= _ADAPT_UNTIL and nadapt < 40:
                 if r > 10 * s:
                     rho *= 2.0
-                    for U in (U_obj, U_psd, U_el, *UC):
-                        U /= 2.0
-                    nadapt += 1
+                    yb[nn:] /= 2.0
+                    U_psd /= 2.0
+                    adapted = True
                 elif s > 10 * r:
                     rho /= 2.0
-                    for U in (U_obj, U_psd, U_el, *UC):
-                        U *= 2.0
-                    nadapt += 1
+                    yb[nn:] *= 2.0
+                    U_psd *= 2.0
+                    adapted = True
+                nadapt += adapted
                 g_rho = G / rho
-        X = Xn
+
+        if aa is not None:
+            if adapted or it >= _ADAPT_UNTIL or aa.rejected >= _AA_MAX_REJECTED:
+                aa.clear()
+            elif aa.advance(xb, yb):
+                np.negative(U_el, out=U_psd)
+                if ncut:
+                    U_psd -= sp.scatter(uc)
+                continue
+        x, y = y, x
 
     runtime = time.perf_counter() - t0
+    _, X, U_el, uc = last
     if status != "optimal":
         resid = _residuals(sp, X)
         obj = float(np.vdot(G, X)) + sp.const
-        dual_bound = None if status == "infeasible" else _dual_bound(sp, rho, U_el, UC) + sp.const
+        dual_bound = (None if status == "infeasible"
+                      else _dual_bound(sp, rho * U_el - G, rho * uc) + sp.const)
     resid["primal"] = r
     resid["dual"] = s
 
@@ -373,7 +502,9 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         gap=None if dual_bound is None else dual_bound - obj,
         iterations=it,
         runtime=runtime,
-        info={"rho": rho, "penalty_adaptations": nadapt, "model": model.name},
+        info={"rho": rho, "penalty_adaptations": nadapt,
+              "aa_steps": 0 if aa is None else aa.steps,
+              "aa_rejected": 0 if aa is None else aa.rejected, "model": model.name},
     )
 
 
@@ -398,16 +529,17 @@ def _residuals(sp: _SolverSpace, Z: np.ndarray) -> dict:
     }
 
 
-def _dual_bound(sp: _SolverSpace, rho: float, U_el: np.ndarray, UC) -> float:
+def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray) -> float:
     """Assemble a dual feasible point from the block multipliers.
 
     For max <G,Z> s.t. diag(Z)=d (or tr), Z >= B offdiag, <A_c,Z> <= b_c,
     Z psd, the dual slack is S = Diag(nu) - M + sum mu_c A_c - G with
     M, mu >= 0 and S psd; any deficit in S is repaired by shifting nu
     uniformly, which keeps feasibility and costs t * sum(d) (resp. t * tr).
+    ``Y_el`` is the elementwise block's multiplier without the objective
+    (rho U_el - G) and ``Y_c`` the cut blocks' (rho UC, flat).
     """
     n = sp.n
-    Y_el = rho * U_el
     # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where the
     # lower bound is active; clip to the feasible orthant
     off = ~np.eye(n, dtype=bool)
@@ -431,10 +563,11 @@ def _dual_bound(sp: _SolverSpace, rho: float, U_el: np.ndarray, UC) -> float:
     # cut c is sum_p coef_p Z_p <= rhs with A_c holding coef_p / 2 at (i, j)
     # and (j, i); its two-sided entries double the multiplier formula
     if sp.cut_groups:
-        MU = []
-        for (IDX, COEF, RHS, NORMSQ), uc in zip(sp.cut_groups, UC):
-            mu = np.clip(-2.0 * np.einsum("ca,ca->c", rho * uc, COEF) / NORMSQ, 0.0, None)
-            MU.append(mu[:, None] * COEF)
+        MU = np.empty(sp.cut_idx.size)
+        for (IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_groups, sp.cut_slices):
+            yc = Y_c[sl].reshape(IDX.shape)
+            mu = np.clip(-2.0 * np.einsum("ca,ca->c", yc, COEF) / NORMSQ, 0.0, None)
+            MU[sl] = (mu[:, None] * COEF).ravel()
             value += float(mu @ RHS)
         S += 0.5 * sp.scatter(MU)
 

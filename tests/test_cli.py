@@ -29,6 +29,9 @@ def test_bound_sdp_triangles_pentagon(capsys):
     payload = json.loads(out)
     assert abs(payload["value"] - 25.0 / 6.0) <= 5e-3
     assert payload["num_cuts"] == 30
+    # the certified upper bound and the work rest beside the attained value
+    assert payload["value"] <= payload["dual_bound"] <= payload["value"] + 1e-5
+    assert payload["iterations"] > 0
 
 
 def test_bound_chromatic_k100_minus_edge(capsys):
@@ -133,10 +136,29 @@ def test_exit_code_cap(capsys):
 
 def test_exit_code_solver_failure(tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("max_iter = 30\n")
+    cfg.write_text("max_iter = 10\n")
     code, _, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
                            "--method", "sdp", "--config", str(cfg))
     assert code == EXIT_SOLVER and "max_iter" in err
+
+
+@pytest.mark.parametrize("method, routine", [
+    ("eig", "eigvalsh"), ("chromatic", "eigvalsh"),  # LinAlgError from lambda_max
+    ("hoffman", "eigh"), ("srg", "eigh"),  # SpectraError from eigendecompose
+    ("perturbed", "eigh"), ("sdp", "eigh"), ("sdp+triangles", "eigh"),  # inside solve
+])
+def test_exit_code_eigensolver_failure(monkeypatch, capsys, method, routine):
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code, _, err = run_cli(capsys, "bound", "--family", "petersen", "--k", "2",
+                           "--method", method)
+    assert code == EXIT_SOLVER
+    assert "Traceback" not in err
+    assert err.startswith("error: numerical failure") and len(err.splitlines()) == 1
 
 
 def test_config_parsing_errors(tmp_path, capsys):

@@ -38,6 +38,15 @@ def test_kravchuk_linear_case():
     assert [kravchuk(3, 2, 1, i) for i in range(4)] == [3, 1, -1, -3]
 
 
+def test_kravchuk_table_matches_the_defining_sum():
+    # the table uses the three-term recurrence; kravchuk() is the sum
+    for d in range(0, 11):
+        for q in range(2, 8):
+            table = kravchuk_table(d, q)
+            assert table.K == tuple(
+                tuple(kravchuk(d, q, j, i) for i in range(d + 1)) for j in range(d + 1))
+
+
 def test_kravchuk_orthogonality_exact():
     # exact integer identity over the full tested grid, ~14^30-sized terms
     for d in range(1, 31):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_graph
 from kcut.errors import CapExceeded
-from kcut.graphs import Partition, named_graph
+from kcut.graphs import Graph, Partition, named_graph
+from kcut.hamming import hamming_graph
 from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
     Cut,
@@ -133,11 +135,12 @@ def test_infeasible_cut_detected():
     model.cuts.append(Cut(pairs=((0, 1),), coeffs=(1.0,), rhs=-5.0))
     sol = solve(model)
     assert sol.status == "infeasible"
+    assert sol.iterations <= 25_000
 
 
 def test_max_iter_status():
     g = named_graph("cycle", (5,))
-    sol = solve(build(g, 2, RelaxationKind.MAIN_SDP), SolverOptions(max_iter=40))
+    sol = solve(build(g, 2, RelaxationKind.MAIN_SDP), SolverOptions(max_iter=10))
     assert sol.status == "max_iter"
     assert "primal" in sol.residuals
 
@@ -151,13 +154,55 @@ def _certified(sol, opts):
 
 def test_stop_rule_is_the_certified_test():
     # the loop stops at the first check that passes the certified test, so
-    # one check earlier the same solve must still fail it
-    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    # one check earlier the same solve must still fail it; C_13 needs several
+    # checks, so the earlier one is a real iterate, not the start point
+    model = build(named_graph("cycle", (13,)), 2, RelaxationKind.MAIN_SDP)
     opts = SolverOptions()
     sol = solve(model)
     assert sol.status == "optimal" and _certified(sol, opts)
+    assert sol.iterations >= 75
     early = solve(model, SolverOptions(max_iter=sol.iterations - 25))
     assert early.status == "max_iter" and not _certified(early, opts)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_acceleration_memory_is_bounded():
+    # the Anderson history is O(n^2): H(4,3,4) has n = 81
+    model = build(hamming_graph(4, 3, 4), 2, RelaxationKind.MAIN_SDP)
+    sol, peak = _traced_peak(lambda: solve(model))
+    assert sol.status == "optimal" and sol.info["aa_steps"] > 0
+    assert peak <= 4 * 2**20
+
+
+def test_cut_heavy_model_runs_unaccelerated():
+    # Coxeter's 13,104 cuts carry 39,312 cut entries, far above n(n+1) = 812:
+    # no history is kept, and the solve's footprint stays that of plain ADMM
+    model = build(named_graph("coxeter"), 2, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(triangle_cuts(28) + independent_set_cuts(28, 2))
+    assert len(model.cuts) == 13_104
+    sol, peak = _traced_peak(lambda: solve(model))
+    assert sol.status == "optimal" and abs(sol.objective_value - 36.0) <= 1e-4
+    assert sol.info["aa_steps"] == 0 and sol.info["aa_rejected"] == 0
+    assert peak <= 7.3 * 2**20
+
+
+def test_relabelled_graphs_solve_to_the_same_value():
+    rng = np.random.default_rng(3)
+    for g, k in ((named_graph("petersen"), 3), (hamming_graph(2, 3, 2), 2)):
+        base = solve(build(g, k, RelaxationKind.MAIN_SDP))
+        p = rng.permutation(g.n)
+        h = Graph(n=g.n, weights=g.weights[np.ix_(p, p)], name=g.name)
+        moved = solve(build(h, k, RelaxationKind.MAIN_SDP))
+        assert base.status == moved.status == "optimal"
+        assert abs(base.objective_value - moved.objective_value) <= 1e-6 * (1 + abs(base.objective_value))
 
 
 def test_n_cap():
