@@ -20,6 +20,15 @@ penalty parameter is auto-scaled from the objective norm, then rebalanced
 from the residual ratio.  The start point is the identity matrix, so runs
 are deterministic.
 
+A lower bound that the cone already implies is presolved away: under a
+diagonal constraint d, a PSD Z has |Z_ij| <= sqrt(d_i d_j), so a floor at or
+below -sqrt(d_i d_j) on every off-diagonal entry (main_sdp and
+frieze_jerrum at k = 2, both the Goemans-Williamson SDP) constrains nothing.
+The elementwise block then only sets the diagonal and the dual bound carries
+no floor multiplier; the residuals still measure the model's own bound.
+Enforced, such a floor leaves ADMM drifting for thousands of iterations at a
+near-constant residual while its multiplier drains to zero.
+
 The ADMM step x -> T(x) on the state x = (X, U_el, cut duals) is sped up by
 safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
 1e-10 times its trace, and a revert to the plain step, with the history
@@ -28,7 +37,7 @@ than that of the point before it (or not finite).  The history is cleared on
 every penalty change, and acceleration stops after 500 reverts or at
 iteration 20,000, where penalty rebalancing stops too.  The history keeps
 the upper triangles only and is O(n^2): models whose cut entries number
-more than n(n+1) run plain ADMM.
+more than 16 n(n+1) run plain ADMM.
 
 One stopping rule, checked every 25 iterations on the plain step's output:
 the model residuals of that iterate (equality, lower bound, cuts, least cone
@@ -159,6 +168,7 @@ _ADAPT_UNTIL = 20_000  # penalty rebalancing and acceleration stop here
 _AA_DEPTH = 10  # Anderson history length
 _AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
 _AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
+_AA_CUT_ENTRIES = 16  # accelerate models with at most this many times n(n+1) cut entries
 
 
 @dataclass
@@ -208,12 +218,18 @@ class _SolverSpace:
             self.trace = None if model.trace_value is None else k * model.trace_value - n
             B = None if B is None else k * B - 1.0
         # the upper triangle defines both matrices, mirrored so every iterate
-        # stays exactly symmetric; the floor leaves the diagonal free
+        # stays exactly symmetric; the lower bound leaves the diagonal free
         self.G = np.triu(G) + np.triu(G, 1).T
-        self.floor = None
+        self.lower = None
         if B is not None:
-            self.floor = np.triu(B, 1) + np.triu(B, 1).T
-            np.fill_diagonal(self.floor, -np.inf)
+            self.lower = np.triu(B, 1) + np.triu(B, 1).T
+            np.fill_diagonal(self.lower, -np.inf)
+        # the floor the solver enforces: none when a PSD Z with diagonal d
+        # already has Z_ij >= -sqrt(d_i d_j) >= lower_ij everywhere
+        self.floor = self.lower
+        if (self.lower is not None and self.diag is not None and self.diag.min() >= 0
+                and np.all(self.lower <= -np.sqrt(np.outer(self.diag, self.diag)))):
+            self.floor = None
         # arity-grouped cuts: flat upper-triangle positions i*n + j,
         # coefficients on Z, rhs, squared coefficient norms
         groups: dict[int, list] = {}
@@ -262,6 +278,8 @@ class _Anderson:
     of T(x) in ring buffers, with the Gram matrix of the f differences grown
     one row per iteration.  The state is symmetric, so the history keeps only
     the upper triangles of X and U_el (plus the cut duals): half the memory.
+    ``solve`` keeps one only for models with at most 16 n(n+1) cut entries,
+    so it stays O(n^2).
     """
 
     def __init__(self, sp: _SolverSpace):
@@ -344,7 +362,10 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     ``sol.gap`` are the figures that test read.  Anderson acceleration only
     chooses where the next plain ADMM step starts: every check reads a plain
     step's output, so it changes how soon a solve certifies, never what is
-    certified.  An iteration-capped run returns its last iterate with
+    certified.  A lower bound implied by the cone and the diagonal is not
+    enforced, though ``lower_violation`` still measures it; models with more
+    than 16 n(n+1) cut entries run without acceleration.  An
+    iteration-capped run returns its last iterate with
     ``max_iter``.  A run whose primal residual pins while the dual variables
     drift (possible only with mutually inconsistent cuts) is reported
     ``infeasible``.  The residuals also carry the ADMM ``primal`` and
@@ -384,7 +405,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
     # cut-heavy models, whose state is dominated by cut duals, run plain
     # ADMM, so the Anderson history stays O(n^2)
-    aa = _Anderson(sp) if ncut <= n * (n + 1) else None
+    aa = _Anderson(sp) if ncut <= _AA_CUT_ENTRIES * n * (n + 1) else None
 
     t0 = time.perf_counter()
     status = "max_iter"
@@ -518,7 +539,7 @@ def _residuals(sp: _SolverSpace, Z: np.ndarray) -> dict:
     k = sp.k or 1
     d = np.diagonal(Z)
     eq = np.max(np.abs(d - sp.diag)) if sp.diag is not None else abs(d.sum() - sp.trace)
-    low = 0.0 if sp.floor is None else np.max(sp.floor - Z)
+    low = 0.0 if sp.lower is None else np.max(sp.lower - Z)
     cutv = max((float(np.max(np.einsum("ca,ca->c", COEF, Z.reshape(-1)[IDX]) - RHS))
                 for IDX, COEF, RHS, _ in sp.cut_groups), default=0.0)
     return {
@@ -537,28 +558,29 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray) -> float:
     M, mu >= 0 and S psd; any deficit in S is repaired by shifting nu
     uniformly, which keeps feasibility and costs t * sum(d) (resp. t * tr).
     ``Y_el`` is the elementwise block's multiplier without the objective
-    (rho U_el - G) and ``Y_c`` the cut blocks' (rho UC, flat).
+    (rho U_el - G) and ``Y_c`` the cut blocks' (rho UC, flat).  B is the
+    solver's floor: without one (none, or one the cone implies) M is zero
+    and the bound is that of the relaxation without B, whose optimum is the
+    same.
     """
     n = sp.n
-    # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where the
-    # lower bound is active; clip to the feasible orthant
-    off = ~np.eye(n, dtype=bool)
-    M_hat = np.zeros((n, n))
-    if sp.floor is not None:
-        M_hat[off] = np.clip(Y_el[off], 0.0, None)
-
-    S = -sp.G - M_hat
     if sp.diag is not None:
         nu = -np.diag(Y_el)
-        S += np.diag(nu)
-        base = float(nu @ sp.diag)
+        S = np.diag(nu) - sp.G
+        value = float(nu @ sp.diag)
         shift_weight = float(np.sum(sp.diag))
     else:
         nu0 = -float(np.trace(Y_el)) / n
-        S += nu0 * np.eye(n)
-        base = nu0 * sp.trace
+        S = nu0 * np.eye(n) - sp.G
+        value = nu0 * sp.trace
         shift_weight = sp.trace
-    value = base
+    if sp.floor is not None:
+        # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where
+        # the lower bound is active; clip to the feasible orthant
+        off = ~np.eye(n, dtype=bool)
+        M_hat = np.clip(Y_el[off], 0.0, None)
+        S[off] -= M_hat
+        value -= float(M_hat @ sp.floor[off])
 
     # cut c is sum_p coef_p Z_p <= rhs with A_c holding coef_p / 2 at (i, j)
     # and (j, i); its two-sided entries double the multiplier formula
@@ -572,10 +594,7 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray) -> float:
         S += 0.5 * sp.scatter(MU)
 
     t = max(0.0, -float(np.linalg.eigvalsh(S)[0]))
-    value += t * shift_weight
-    if sp.floor is not None:
-        value -= float(M_hat[off] @ sp.floor[off])
-    return value
+    return value + t * shift_weight
 
 
 @dataclass(frozen=True)

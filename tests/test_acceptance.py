@@ -1,6 +1,8 @@
 """Acceptance gate: every numerical claim the package reproduces, one
 pass/fail line per criterion.  Tolerances are pinned in kcut.acceptance."""
 
+import time
+
 import pytest
 
 from kcut.acceptance import GROUPS
@@ -16,3 +18,13 @@ def test_acceptance_group(group):
         if not r.passed:
             failed.append(r)
     assert not failed, "; ".join(f"{r.name}: {r.detail}" for r in failed)
+
+
+@pytest.mark.parametrize("group", ["walkregular", "pentagon"])
+def test_check_runtimes_add_up_to_the_group_wall_time(group):
+    # each check reports its own time, not the time since its group started
+    t0 = time.perf_counter()
+    results = GROUPS[group]()
+    wall = time.perf_counter() - t0
+    assert all(r.runtime_s >= 0.0 for r in results)
+    assert sum(r.runtime_s for r in results) <= wall

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from kcut.cli import EXIT_CAP, EXIT_PARSE, EXIT_SOLVER, main
+from kcut.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,29 @@ def test_exit_code_k_out_of_range(tmp_path, capsys, argv):
     assert code == EXIT_PARSE
     assert "Traceback" not in err
     assert err.startswith("error: --k must lie in") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("files, argv, want", [
+    ({"g.txt": ""}, ("bound", "g.txt", "--k", "2", "--method", "eig"), EXIT_PARSE),
+    ({"g.txt": "0 1\n"}, ("bound", "g.txt", "--k", "2", "--method", "eig"), EXIT_PARSE),
+    ({"g.txt": "1 0\n"}, ("bound", "g.txt", "--k", "2", "--method", "eig"), EXIT_PARSE),
+    ({"g.txt": "3 0\n"}, ("bound", "g.txt", "--k", "2", "--method", "sdp", "--json"), EXIT_OK),
+    ({"cap.cfg": "n_cap = 2\n"}, ("bound", "--family", "cycle", "5", "--k", "2",
+                                  "--method", "sdp", "--config", "cap.cfg"), EXIT_CAP),
+    ({}, ("exact", "--family", "hamming", "4", "3", "1", "--k", "3"), EXIT_CAP),
+], ids=["empty", "header_0_1", "n1_k2", "edgeless_sdp", "config_n_cap", "exact_over_cap"])
+def test_failure_contract(tmp_path, capsys, files, argv, want):
+    # each input maps to its exit code; a failure prints exactly one error
+    # line, so no traceback (an escaping exception fails the test)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want
+    if want == EXIT_OK:
+        assert err == "" and json.loads(out)["value"] == 0.0
+    else:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_exit_code_srg_rejects_non_srg(tmp_path, capsys):

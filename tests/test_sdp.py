@@ -8,12 +8,14 @@ from conftest import random_graph
 from kcut.errors import CapExceeded
 from kcut.graphs import Graph, Partition, named_graph
 from kcut.hamming import hamming_graph
+from kcut.oracle import brute_force_maxkcut
 from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
     Cut,
     SdpModel,
     SdpSolution,
     SolverOptions,
+    _SolverSpace,
     certify,
     dump_model,
     solve,
@@ -154,9 +156,10 @@ def _certified(sol, opts):
 
 def test_stop_rule_is_the_certified_test():
     # the loop stops at the first check that passes the certified test, so
-    # one check earlier the same solve must still fail it; C_13 needs several
-    # checks, so the earlier one is a real iterate, not the start point
-    model = build(named_graph("cycle", (13,)), 2, RelaxationKind.MAIN_SDP)
+    # one check earlier the same solve must still fail it; the trace model on
+    # C_13 at k = 3 needs several checks, so the earlier one is a real
+    # iterate, not the start point
+    model = build(named_graph("cycle", (13,)), 3, RelaxationKind.EIG_SDP)
     opts = SolverOptions()
     sol = solve(model)
     assert sol.status == "optimal" and _certified(sol, opts)
@@ -183,8 +186,9 @@ def test_acceleration_memory_is_bounded():
 
 
 def test_cut_heavy_model_runs_unaccelerated():
-    # Coxeter's 13,104 cuts carry 39,312 cut entries, far above n(n+1) = 812:
-    # no history is kept, and the solve's footprint stays that of plain ADMM
+    # Coxeter's 13,104 cuts carry 39,312 cut entries, 48 n(n+1), far above
+    # the 16 n(n+1) = 12,992 accelerated: no history is kept, and the solve's
+    # footprint stays that of plain ADMM
     model = build(named_graph("coxeter"), 2, RelaxationKind.MAIN_SDP)
     model.cuts.extend(triangle_cuts(28) + independent_set_cuts(28, 2))
     assert len(model.cuts) == 13_104
@@ -192,6 +196,58 @@ def test_cut_heavy_model_runs_unaccelerated():
     assert sol.status == "optimal" and abs(sol.objective_value - 36.0) <= 1e-4
     assert sol.info["aa_steps"] == 0 and sol.info["aa_rejected"] == 0
     assert peak <= 7.3 * 2**20
+
+
+def _gnp_stream(first, last):
+    # successive G(n, 1/2) draws from PCG64(1) for n = first..last, as in the
+    # benchmark corpora; returns the last graph
+    rng = np.random.Generator(np.random.PCG64(1))
+    for n in range(first, last + 1):
+        W = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    return Graph(n=last, weights=W + W.T, name=f"G({last},1/2)")
+
+
+def test_implied_floor_is_dropped_at_k2():
+    # at k = 2 both floors read Z_ij >= -1 on a unit diagonal, which the cone
+    # implies; solved without it, the G(12, 1/2) of the ladder corpus
+    # certifies in a few hundred iterations (11,825 with the floor enforced)
+    g = _gnp_stream(6, 12)
+    opts = SolverOptions()
+    v = solve(build(g, 2, RelaxationKind.PERTURBED_SDP)).objective_value
+    for kind in (RelaxationKind.MAIN_SDP, RelaxationKind.FRIEZE_JERRUM):
+        model = build(g, 2, kind)
+        assert _SolverSpace(model).floor is None
+        sol = solve(model)
+        assert sol.status == "optimal" and sol.iterations <= 1_000
+        assert abs(sol.objective_value - v) <= 1e-5 * (1 + abs(v))
+        assert certify(model, sol).passed
+        assert sol.residuals["lower_violation"] <= opts.tol_eq
+        assert sol.dual_bound >= sol.objective_value
+
+
+def test_floor_is_enforced_where_not_implied():
+    g = _gnp_stream(6, 12)
+    _, exact = brute_force_maxkcut(g, 3)
+    for kind in (RelaxationKind.MAIN_SDP, RelaxationKind.FRIEZE_JERRUM):
+        model = build(g, 3, kind)
+        assert _SolverSpace(model).floor is not None
+        sol = solve(model)
+        assert sol.status == "optimal" and certify(model, sol).lower_ok
+        assert sol.objective_value >= exact
+    # a trace constraint bounds no single entry: its floor always stays
+    trace = SdpModel(n=4, objective=np.eye(4), trace_value=4.0,
+                     elementwise_lower=np.full((4, 4), -10.0))
+    assert _SolverSpace(trace).floor is not None
+
+
+def test_lightly_cut_model_is_accelerated():
+    # all 660 triangle cuts on the cuts corpus's G(12, 1/2) carry 1,980 cut
+    # entries, 12.7 n(n+1): accelerated, with the history still O(n^2)
+    model = build(_gnp_stream(8, 12), 2, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(triangle_cuts(12))
+    sol, peak = _traced_peak(lambda: solve(model))
+    assert sol.status == "optimal" and sol.info["aa_steps"] > 0
+    assert peak <= 2**20
 
 
 def test_relabelled_graphs_solve_to_the_same_value():
