@@ -42,7 +42,7 @@ if __name__ == "__main__":
         print(f"  H({d},{q},{j}): n={n:3d}  lambda={lam:3d}  "
               f"first-coordinate {q}-cut = {cut}  tight={rep.tight}")
 
-    print("\nsolved relaxation agrees with the bound for every k <= q:")
+    print("\nthe relaxation's certified dual bound meets the eigenvalue bound for every k <= q:")
     rep = hamming_tightness_certificate(2, 4, 2, solve_k=(2, 3, 4))
-    for k, (solved, bound) in rep.sdp_checks.items():
-        print(f"  H(2,4,2) k={k}: solved {solved:.6f}  bound {bound:.6f}")
+    for k, (dual, bound) in rep.sdp_checks.items():
+        print(f"  H(2,4,2) k={k}: dual bound {dual:.6f}  eigenvalue bound {bound:.6f}")

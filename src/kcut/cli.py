@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 parse or usage error, 3 solver failure (an
 eigensolver failure included), 4 work or size cap exceeded.  Every command
 can emit JSON (--json) with stable keys (graph, k, method, value, residuals,
-runtime_ms); the SDP methods of ``bound`` add dual_bound and iterations.
+runtime_ms).  For the SDP methods of ``bound`` the value is the solve's
+certified dual bound, and the JSON adds dual_bound (the same number),
+objective (the attained primal value) and iterations.
 The KCUT_THREADS environment variable caps BLAS-level parallelism; heavy
 imports happen after it is applied, so it takes effect for the whole run.
 """
@@ -189,10 +191,8 @@ def _bound(args):
         extra["floor"] = rep.metadata["floor"]
     elif method == "perturbed":
         sol = _solve_checked(build(g, k, RelaxationKind.PERTURBED_SDP), opts)
-        value, residuals = sol.objective_value, sol.residuals
     elif method == "sdp":
         sol = _solve_checked(build(g, k, RelaxationKind.MAIN_SDP), opts)
-        value, residuals = sol.objective_value, sol.residuals
     elif method in ("sdp+triangles", "sdp+indep"):
         model = build(g, k, RelaxationKind.MAIN_SDP)
         try:
@@ -204,7 +204,6 @@ def _bound(args):
             raise CliError(str(exc), EXIT_CAP) from exc
         extra["num_cuts"] = len(model.cuts)
         sol = _solve_checked(model, opts)
-        value, residuals = sol.objective_value, sol.residuals
     elif method == "chromatic":
         rep = chromatic_lower_bound(g)
         value = rep.value
@@ -218,6 +217,10 @@ def _bound(args):
         rep = srg_sdp_bound(params, k)
         value = rep.value
         extra["active_term"] = rep.metadata["active_term"]
+    if sol is not None:
+        # the certified dual bound is an upper bound at any iterate; the
+        # objective, read on a nearly feasible iterate, may sit above it
+        value, residuals = sol.dual_bound, sol.residuals
 
     payload = {
         "graph": g.name or f"graph(n={g.n})",
@@ -230,7 +233,8 @@ def _bound(args):
     }
     if args.json:
         if sol is not None:
-            payload.update(dual_bound=sol.dual_bound, iterations=sol.iterations)
+            payload.update(dual_bound=sol.dual_bound, objective=sol.objective_value,
+                           iterations=sol.iterations)
         print(json.dumps(payload, indent=2))
     else:
         bits = [payload["graph"], f"method={method}"]

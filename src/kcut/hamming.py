@@ -242,8 +242,8 @@ class TightnessReport:
 
     ``cut_value`` is the first-coordinate q-cut; ``eigenvalue_bound_2q`` holds
     2q times the k=q eigenvalue bound (an exact integer); ``sdp_checks`` maps
-    k to (solved mainSDP value, eigenvalue bound) for the numerically
-    verified sizes.
+    k to (certified dual bound of the mainSDP solve, eigenvalue bound) for
+    the numerically verified sizes.
     """
 
     d: int
@@ -271,8 +271,9 @@ def hamming_tightness_certificate(
     Kravchuk value (hence the largest Laplacian eigenvalue); refuses
     otherwise.  The exact identity cut = n(k-1)/(2k) lambda at k = q is then
     checked on the constructed cut.  For each k in ``solve_k`` (k <= q), the
-    relaxation with the full constraint set is solved numerically and
-    reported next to the eigenvalue bound.
+    relaxation with the full constraint set is solved numerically and its
+    certified dual bound, an upper bound however the solve ends, is reported
+    next to the eigenvalue bound.
     """
     if not in_conjecture_hypothesis(d, q, j):
         raise HammingHypothesisError(
@@ -303,7 +304,7 @@ def hamming_tightness_certificate(
                 raise ValueError(f"solve_k entries must satisfy 2 <= k <= q, got {k}")
             sol = solve(build(g, k, RelaxationKind.MAIN_SDP), solver_options)
             eig_bound = n * (k - 1) / (2.0 * k) * lam
-            sdp_checks[k] = (sol.objective_value, eig_bound)
+            sdp_checks[k] = (sol.dual_bound, eig_bound)
 
     return TightnessReport(
         d=d, q=q, j=j, lam=lam, cut_value=cut,

@@ -37,8 +37,7 @@ __all__ = [
     "GapReport",
 ]
 
-DEFAULT_STATE_CAP = 40_000_000
-DEFAULT_MASK_CAP = 1 << 28
+DEFAULT_STATE_CAP = 1 << 28
 # float64 elements per GEMM tile and per block of B's one-hot codes
 BLOCK = 1 << 16
 
@@ -162,22 +161,21 @@ def brute_force_maxkcut(
     g: Graph,
     k: int,
     state_cap: int = DEFAULT_STATE_CAP,
-    mask_cap: int = DEFAULT_MASK_CAP,
 ) -> tuple[Partition, float]:
     """Exact max-k-cut of ``g`` with an optimal partition in canonical form.
 
     Of the optimal partitions the one with the fewest parts is returned, and
-    of those the lexicographically smallest labeling.  ``mask_cap`` caps the
-    2^(n-1) states of k = 2 and ``state_cap`` the states of k >= 3; past a
-    cap the enumeration refuses with the state count.  The caps bound work
-    only, since memory does not grow with the states.  The default caps
-    reach n = 29 for k = 2, n = 17 for k = 3, n = 14 for k = 4 and n = 13
-    for every k; the Coxeter graph (n = 28, 2^27 states) takes about half a
-    second on one BLAS thread.
+    of those the lexicographically smallest labeling.  ``state_cap`` caps
+    the canonical states for every k (2^(n-1) of them at k = 2); past it the
+    enumeration refuses with the state count.  The cap bounds work only,
+    since memory does not grow with the states.  The default cap of 2^28
+    states reaches n = 29 for k = 2, n = 19 for k = 3, n = 16 for k = 4 and
+    n = 14 for every k; the Coxeter graph (n = 28, 2^27 states) takes about
+    half a second on one BLAS thread.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    table = brute_force_table(g, k, mask_cap if k == 2 else state_cap)
+    table = brute_force_table(g, k, state_cap)
     best_j = max(range(1, k + 1), key=lambda j: (table[j][0], -j))
     val, part = table[best_j]
     return Partition(assignment=part.assignment, k=k), val

@@ -16,8 +16,8 @@ into which the linear objective folds as a shift of the projected point --
 plus one tiny block per cut, each a halfspace projection touching only its
 few upper-triangle entries (read at flat positions i*n + j and summed back
 onto both (i, j) and (j, i)).  Over-relaxation is fixed at 1.6 and the
-penalty parameter is auto-scaled from the objective norm, then rebalanced
-from the residual ratio.  The start point is the identity matrix, so runs
+penalty parameter is auto-scaled from the objective norm, then held fixed
+for the whole solve.  The start point is the identity matrix, so runs
 are deterministic.
 
 A lower bound that the cone already implies is presolved away: under a
@@ -33,11 +33,10 @@ The ADMM step x -> T(x) on the state x = (X, U_el, cut duals) is sped up by
 safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
 1e-10 times its trace, and a revert to the plain step, with the history
 cleared, whenever the accelerated point's fixed-point residual is larger
-than that of the point before it (or not finite).  The history is cleared on
-every penalty change, and acceleration stops after 500 reverts or at
-iteration 20,000, where penalty rebalancing stops too.  The history keeps
-the upper triangles only and is O(n^2): models whose cut entries number
-more than 16 n(n+1) run plain ADMM.
+than that of the point before it (or not finite).  Acceleration stops after
+500 reverts, and only then.  The history keeps the upper triangles only and
+is O(n^2): models whose cut entries number more than 16 n(n+1) run plain
+ADMM.
 
 One stopping rule, checked every 25 iterations on the plain step's output:
 the model residuals of that iterate (equality, lower bound, cuts, least cone
@@ -164,7 +163,6 @@ class SolverOptions:
 
 _ALPHA = 1.6  # over-relaxation
 _CHECK_EVERY = 25  # iterations between stop tests
-_ADAPT_UNTIL = 20_000  # penalty rebalancing and acceleration stop here
 _AA_DEPTH = 10  # Anderson history length
 _AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
 _AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
@@ -369,17 +367,20 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     ``max_iter``.  A run whose primal residual pins while the dual variables
     drift (possible only with mutually inconsistent cuts) is reported
     ``infeasible``.  The residuals also carry the ADMM ``primal`` and
-    ``dual`` residuals of the last check; ``sol.info`` counts the accepted
-    (``aa_steps``) and rejected (``aa_rejected``) accelerated steps.
+    ``dual`` residuals of the last check; ``sol.info`` reports the fixed
+    penalty (``rho``) and counts the accepted (``aa_steps``) and rejected
+    (``aa_rejected``) accelerated steps.
     """
     opts = options or SolverOptions()
     if model.n > opts.n_cap:
         raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
     sp = _SolverSpace(model)
-    n, nn = sp.n, sp.n * sp.n
+    n = sp.n
     G, floor, cut_idx = sp.G, sp.floor, sp.cut_idx
     ncut = cut_idx.size
+    # one fixed penalty, auto-scaled from the objective norm
     rho = max(float(np.linalg.norm(G)) / n, 1e-3)
+    g_rho = G / rho
     alpha = _ALPHA
 
     deg = 2.0 + sp.scatter(np.ones(ncut))
@@ -411,9 +412,6 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     status = "max_iter"
     feas_hist: list[tuple[float, float]] = []  # (primal residual, dual-variable norm)
     r = s = np.inf
-    nadapt = 0
-
-    g_rho = G / rho
     it = 0
     for it in range(1, opts.max_iter + 1):
         xb, X, U_el, uc = x
@@ -447,7 +445,6 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             xnc = Xn.reshape(-1)[cut_idx]
             np.subtract(uc + step, xnc, out=ucn)
 
-        adapted = False
         if it % _CHECK_EVERY == 0:
             # an off-diagonal cut entry stands for two matrix entries, so it
             # counts twice in the Frobenius-norm residual and dual norm
@@ -480,28 +477,12 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                     if stagnant and large and diverging:
                         status = "infeasible"
                         break
-            if it % 200 == 0 and it <= _ADAPT_UNTIL and nadapt < 40:
-                if r > 10 * s:
-                    rho *= 2.0
-                    yb[nn:] /= 2.0
-                    U_psd /= 2.0
-                    adapted = True
-                elif s > 10 * r:
-                    rho /= 2.0
-                    yb[nn:] *= 2.0
-                    U_psd *= 2.0
-                    adapted = True
-                nadapt += adapted
-                g_rho = G / rho
 
-        if aa is not None:
-            if adapted or it >= _ADAPT_UNTIL or aa.rejected >= _AA_MAX_REJECTED:
-                aa.clear()
-            elif aa.advance(xb, yb):
-                np.negative(U_el, out=U_psd)
-                if ncut:
-                    U_psd -= sp.scatter(uc)
-                continue
+        if aa is not None and aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
+            np.negative(U_el, out=U_psd)
+            if ncut:
+                U_psd -= sp.scatter(uc)
+            continue
         x, y = y, x
 
     runtime = time.perf_counter() - t0
@@ -523,8 +504,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         gap=None if dual_bound is None else dual_bound - obj,
         iterations=it,
         runtime=runtime,
-        info={"rho": rho, "penalty_adaptations": nadapt,
-              "aa_steps": 0 if aa is None else aa.steps,
+        info={"rho": rho, "aa_steps": 0 if aa is None else aa.steps,
               "aa_rejected": 0 if aa is None else aa.rejected, "model": model.name},
     )
 
@@ -624,7 +604,9 @@ def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> Certificati
     else:
         eq = float(abs(np.trace(Y) - model.trace_value))
     cone_M = model.cone_k * Y - 1.0 if model.cone == "shifted_psd" else Y
-    spec = spectra.eigendecompose(cone_M)
+    # no grouping: a group's mean would hide a negative eigenvalue among
+    # zeros within the default grouping tolerance
+    spec = spectra.eigendecompose(cone_M, grouping_tolerance=0.0)
     cone_min = float(spec.distinct_values[0])
     if model.elementwise_lower is not None:
         off = ~np.eye(n, dtype=bool)

@@ -29,8 +29,9 @@ def test_bound_sdp_triangles_pentagon(capsys):
     payload = json.loads(out)
     assert abs(payload["value"] - 25.0 / 6.0) <= 5e-3
     assert payload["num_cuts"] == 30
-    # the certified upper bound and the work rest beside the attained value
-    assert payload["value"] <= payload["dual_bound"] <= payload["value"] + 1e-5
+    # the value is the certified upper bound; the attained objective rests below it
+    objective = payload["objective"]
+    assert objective <= payload["value"] == payload["dual_bound"] <= objective + 1e-5
     assert payload["iterations"] > 0
 
 

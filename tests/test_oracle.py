@@ -112,6 +112,14 @@ def test_work_caps():
     assert enumeration_states(12, 12) == 4213597  # Bell(12)
 
 
+def test_one_state_cap_for_every_k():
+    # k = 2 honours the same cap as k >= 3
+    petersen = named_graph("petersen")
+    for k in (2, 3):
+        with pytest.raises(WorkCapExceeded, match="states"):
+            gap_report(petersen, k, with_cuts=False, state_cap=10)
+
+
 def test_table_consistency(rng):
     g = random_graph(8, 0.5, rng)
     table = brute_force_table(g, 4)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from kcut.acceptance import _dominance_corpus
 from kcut.errors import CapExceeded
 from kcut.graphs import Graph, Partition, named_graph
 from kcut.hamming import hamming_graph
@@ -122,6 +123,21 @@ def test_certify_optimal_and_bogus():
     assert abs(bad.cut_violation - 0.1) <= 1e-12
 
 
+def test_certify_reads_the_least_cone_eigenvalue():
+    # Y = J/2 - eps v v^T has eigenvalues -eps, 0 (three times) and 5/2: the
+    # default grouping tolerance would merge -eps with the zeros, and their
+    # mean -eps/4 would pass the cone check at tol = 1e-7
+    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.PERTURBED_SDP)
+    eps = 1.4e-7
+    v = np.zeros(5)
+    v[:2] = (1.0, -1.0)
+    v /= math.sqrt(2.0)
+    Y = 0.5 * np.ones((5, 5)) - eps * np.outer(v, v)
+    rep = certify(model, SdpSolution.from_matrix(model, Y), tol=1e-7)
+    assert abs(rep.cone_min_eigenvalue + eps) <= 1e-12
+    assert not rep.cone_ok and not rep.passed
+
+
 def test_partition_point_is_feasible_for_main_sdp(rng):
     g = named_graph("petersen")
     model = build(g, 3, RelaxationKind.MAIN_SDP)
@@ -166,6 +182,16 @@ def test_stop_rule_is_the_certified_test():
     assert sol.iterations >= 75
     early = solve(model, SolverOptions(max_iter=sol.iterations - 25))
     assert early.status == "max_iter" and not _certified(early, opts)
+
+
+def test_penalty_is_fixed_for_the_solve():
+    # at some checks of this solve one ADMM residual exceeds the other
+    # tenfold; the penalty stays at its objective-norm scale all the same
+    g = _dominance_corpus()[13]
+    model = build(g, 3, RelaxationKind.MAIN_SDP)
+    sol = solve(model)
+    assert sol.status == "optimal"
+    assert sol.info["rho"] == max(float(np.linalg.norm(_SolverSpace(model).G)) / g.n, 1e-3)
 
 
 def _traced_peak(fn):
