@@ -29,20 +29,22 @@ def ladder(g, k=2):
     eig = eigenvalue_bound(g, k)
     print(f"eigenvalue bound n(k-1)/(2k) lambda_max = {eig.value:.4f}")
 
+    # each SDP line prints the solve's certified dual bound, an upper bound
+    # on the relaxation however the solve ended
     sol = solve(build(g, k, RelaxationKind.MAIN_SDP))
-    print(f"base SDP relaxation                     = {sol.objective_value:.4f}"
+    print(f"base SDP relaxation                     = {sol.dual_bound:.4f}"
           f"   ({sol.iterations} iterations, gap {sol.gap:.1e})")
 
     model = build(g, k, RelaxationKind.MAIN_SDP)
     tri = triangle_cuts(g.n)
     model.cuts.extend(tri)
     sol = solve(model)
-    print(f"SDP + all {len(tri)} triangle cuts            = {sol.objective_value:.4f}")
+    print(f"SDP + all {len(tri)} triangle cuts            = {sol.dual_bound:.4f}")
 
     indep = independent_set_cuts(g.n, k)
     model.cuts.extend(indep)
     sol = solve(model)
-    print(f"SDP + triangles + {len(indep)} indep-set cuts   = {sol.objective_value:.4f}")
+    print(f"SDP + triangles + {len(indep)} indep-set cuts   = {sol.dual_bound:.4f}")
 
     t0 = time.perf_counter()
     _, exact = brute_force_maxkcut(g, k)

@@ -6,7 +6,8 @@ lower bounds, and sparse cuts.  The solver runs an operator-splitting scheme
 whose only heavy step is one dense eigendecomposition per iteration, and it
 stops only when a dual feasible point assembled from its multipliers
 certifies the gap, so every solve carries its own optimality gap.  `certify`
-then re-checks all residuals independently.
+then re-checks the returned matrix from the model alone, with the residual
+routine the stop test ran, never reading the solver's iterate.
 
 Run:  python demos/solver_anatomy.py
 """

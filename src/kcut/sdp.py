@@ -38,14 +38,21 @@ than that of the point before it (or not finite).  Acceleration stops after
 is O(n^2): models whose cut entries number more than 16 n(n+1) run plain
 ADMM.
 
-One stopping rule, checked every 25 iterations on the plain step's output:
-the model residuals of that iterate (equality, lower bound, cuts, least cone
-eigenvalue) must be within tolerance, and then a dual feasible point
-assembled from the block multipliers (shifting the diagonal multiplier
-enough to make the slack matrix PSD) must give a weak-duality upper bound
-within ``tol_gap`` of the objective.  A solve is ``optimal`` exactly when
-this certified test stopped it; the dual bound stays a valid upper bound
-however the loop ends.
+One residual routine, ``_residuals``, reads a matrix in the model's own
+coordinates: the solver's stop test runs it on the very matrix ``solve``
+returns, and ``certify`` is that call plus a report.  Every 25 iterations,
+on the plain step's output, it must find the equality, lower-bound and cut
+residuals and the least cone eigenvalue within tolerance, and then a dual
+feasible point assembled from the block multipliers (shifting the diagonal
+multiplier enough to make the slack matrix PSD) must give a weak-duality
+upper bound within ``tol_gap`` of the objective.  A solve is ``optimal``
+exactly when this certified test stopped it; the dual bound stays a valid
+upper bound however the loop ends.  At a check whose residuals fail, the
+same dual assembly runs on the step of the multipliers with a zero
+objective: on an infeasible model ADMM's dual iterates diverge along a
+Farkas ray (Banjac, Goulart, Stellato & Boyd 2019), and a negative value
+proves that no feasible point exists.  Only that proof reports
+``infeasible``.
 """
 
 from __future__ import annotations
@@ -57,7 +64,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectra
 from .errors import CapExceeded
 
 __all__ = [
@@ -189,6 +195,54 @@ class SdpSolution:
                    status=status, residuals={})
 
 
+def _cut_table(model: SdpModel) -> list[tuple]:
+    """The model's cuts grouped by arity, in the model's own coordinates: per
+    arity, the cuts' indices into ``model.cuts``, their flat upper-triangle
+    positions i*n + j, coefficients and right-hand sides."""
+    n = model.n
+    rows: dict[int, list[int]] = {}
+    for r, cut in enumerate(model.cuts):
+        rows.setdefault(len(cut.pairs), []).append(r)
+    table = []
+    for a in sorted(rows):
+        cuts = [model.cuts[r] for r in rows[a]]
+        table.append((np.array(rows[a]),
+                      np.array([[i * n + j for i, j in cut.pairs] for cut in cuts]),
+                      np.array([cut.coeffs for cut in cuts], float),
+                      np.array([cut.rhs for cut in cuts], float)))
+    return table
+
+
+def _residuals(model: SdpModel, Y: np.ndarray, cut_table: list[tuple]):
+    """Model residuals of Y, in the model's own coordinates, and each cut's
+    violation (value minus rhs) in ``model.cuts`` order.
+
+    Reads only the model and Y: ``cut_table`` is ``_cut_table(model)``,
+    which a caller checking many matrices of one model builds once.
+    """
+    d = np.diagonal(Y)
+    if model.diag_values is not None:
+        eq = float(np.max(np.abs(d - model.diag_values)))
+    else:
+        eq = abs(float(d.sum()) - model.trace_value)
+    cone = model.cone_k * Y - 1.0 if model.cone == "shifted_psd" else Y
+    low = 0.0
+    if model.elementwise_lower is not None:
+        excess = model.elementwise_lower - Y
+        np.fill_diagonal(excess, 0.0)  # the diagonal is the equality's
+        low = max(float(np.max(excess)), 0.0)
+    viol = np.empty(len(model.cuts))
+    flat = Y.reshape(-1)
+    for rows, IDX, COEF, RHS in cut_table:
+        viol[rows] = np.einsum("ca,ca->c", COEF, flat[IDX]) - RHS
+    return {
+        "equality": eq,
+        "cone_min_eig": float(np.linalg.eigvalsh(cone)[0]),
+        "lower_violation": low,
+        "cut_violation": max(float(viol.max(initial=0.0)), 0.0),
+    }, viol
+
+
 # ---------------------------------------------------------------------------
 # solver-space form: always a plain PSD cone
 # ---------------------------------------------------------------------------
@@ -218,30 +272,22 @@ class _SolverSpace:
         # the upper triangle defines both matrices, mirrored so every iterate
         # stays exactly symmetric; the lower bound leaves the diagonal free
         self.G = np.triu(G) + np.triu(G, 1).T
-        self.lower = None
+        self.floor = None
         if B is not None:
-            self.lower = np.triu(B, 1) + np.triu(B, 1).T
-            np.fill_diagonal(self.lower, -np.inf)
+            self.floor = np.triu(B, 1) + np.triu(B, 1).T
+            np.fill_diagonal(self.floor, -np.inf)
         # the floor the solver enforces: none when a PSD Z with diagonal d
-        # already has Z_ij >= -sqrt(d_i d_j) >= lower_ij everywhere
-        self.floor = self.lower
-        if (self.lower is not None and self.diag is not None and self.diag.min() >= 0
-                and np.all(self.lower <= -np.sqrt(np.outer(self.diag, self.diag)))):
+        # already has Z_ij >= -sqrt(d_i d_j) >= floor_ij everywhere
+        if (self.floor is not None and self.diag is not None and self.diag.min() >= 0
+                and np.all(self.floor <= -np.sqrt(np.outer(self.diag, self.diag)))):
             self.floor = None
-        # arity-grouped cuts: flat upper-triangle positions i*n + j,
-        # coefficients on Z, rhs, squared coefficient norms
-        groups: dict[int, list] = {}
-        for cut in model.cuts:
-            idx = [i * n + j for i, j in cut.pairs]
-            if k is None:
-                row = (idx, cut.coeffs, cut.rhs)
-            else:
-                row = (idx, [c / k for c in cut.coeffs], cut.rhs - sum(cut.coeffs) / k)
-            groups.setdefault(len(idx), []).append(row)
+        # the model's cuts grouped by arity (read again by _residuals), and
+        # per group the coefficients on Z, rhs and squared coefficient norms
+        self.cut_table = _cut_table(model)
         self.cut_groups, self.cut_slices, start = [], [], 0
-        for a in sorted(groups):
-            idx, coef, rhs = zip(*groups[a])
-            IDX, COEF, RHS = np.array(idx), np.array(coef, float), np.array(rhs, float)
+        for _, IDX, COEF, RHS in self.cut_table:
+            if k is not None:
+                COEF, RHS = COEF / k, RHS - COEF.sum(axis=1) / k
             self.cut_groups.append((IDX, COEF, RHS, np.einsum("ca,ca->c", COEF, COEF)))
             self.cut_slices.append(slice(start, start + IDX.size))
             start += IDX.size
@@ -353,22 +399,14 @@ class _Anderson:
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the model; see the module docstring for the scheme.
 
-    The loop stops with status ``optimal`` only when, at a check, the
-    equality, lower-bound and cut residuals are within ``tol_eq``, the cone
-    matrix has no eigenvalue below ``-tol_psd`` and the certified duality gap
-    is within ``tol_gap * (1 + |objective|)``; ``sol.residuals`` and
-    ``sol.gap`` are the figures that test read.  Anderson acceleration only
-    chooses where the next plain ADMM step starts: every check reads a plain
-    step's output, so it changes how soon a solve certifies, never what is
-    certified.  A lower bound implied by the cone and the diagonal is not
-    enforced, though ``lower_violation`` still measures it; models with more
-    than 16 n(n+1) cut entries run without acceleration.  An
-    iteration-capped run returns its last iterate with
-    ``max_iter``.  A run whose primal residual pins while the dual variables
-    drift (possible only with mutually inconsistent cuts) is reported
-    ``infeasible``.  The residuals also carry the ADMM ``primal`` and
-    ``dual`` residuals of the last check; ``sol.info`` reports the fixed
-    penalty (``rho``) and counts the accepted (``aa_steps``) and rejected
+    Status ``optimal`` means the certified test stopped the loop, and
+    ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
+    means a Farkas certificate stopped it; ``max_iter`` returns the last
+    iterate.  Anderson acceleration only chooses where the next plain ADMM
+    step starts, so it changes how soon a solve certifies, never what is
+    certified.  The residuals also carry the ADMM ``primal`` and ``dual``
+    residuals of the last check; ``sol.info`` reports the fixed penalty
+    (``rho``) and counts the accepted (``aa_steps``) and rejected
     (``aa_rejected``) accelerated steps.
     """
     opts = options or SolverOptions()
@@ -410,7 +448,6 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
     t0 = time.perf_counter()
     status = "max_iter"
-    feas_hist: list[tuple[float, float]] = []  # (primal residual, dual-variable norm)
     r = s = np.inf
     it = 0
     for it in range(1, opts.max_iter + 1):
@@ -447,36 +484,31 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
         if it % _CHECK_EVERY == 0:
             # an off-diagonal cut entry stands for two matrix entries, so it
-            # counts twice in the Frobenius-norm residual and dual norm
+            # counts twice in the Frobenius-norm residual
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
             if ncut:
                 r2 += 2 * np.sum((V - xnc) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            resid = _residuals(sp, Xn)
+            Y = sp.to_Y(Xn)
+            resid = _residuals(model, Y, sp.cut_table)[0]
             if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                     <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
                 obj = float(np.vdot(G, Xn)) + sp.const
-                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * ucn) + sp.const
+                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * ucn, G) + sp.const
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
-            # infeasibility certificate: the primal residual pins at a positive
-            # constant while the dual variables diverge linearly (possible only
-            # when user cuts contradict the other constraints)
-            if it % 1000 == 0:
-                unorm = float(np.sqrt(np.sum(U_psd**2) + np.sum(U_eln**2)
-                                      + 2 * np.sum(ucn**2)))
-                feas_hist.append((r, unorm))
-                if len(feas_hist) >= 12 and it > 22_000:
-                    rs = [h[0] for h in feas_hist[-12:]]
-                    stagnant = max(rs) - min(rs) < 1e-3 * max(min(rs), 1e-30)
-                    large = min(rs) > 1e-6 * (1.0 + float(np.linalg.norm(Xn)))
-                    u_then = feas_hist[-12][1]
-                    diverging = unorm > 1.5 * u_then + 1.0
-                    if stagnant and large and diverging:
-                        status = "infeasible"
-                        break
+            else:
+                # Farkas test: the multipliers' step, read as a dual point of
+                # the zero objective, proves infeasibility by a negative value;
+                # the margin, relative to the step, covers the rounding of the
+                # eigenvalue shift
+                delta = rho * (yb[n * n:] - xb[n * n:])
+                farkas = _dual_bound(sp, delta[: n * n].reshape(n, n), delta[n * n:], 0.0)
+                if farkas < -opts.tol_gap * float(np.linalg.norm(delta)):
+                    status = "infeasible"
+                    break
 
         if aa is not None and aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
             np.negative(U_el, out=U_psd)
@@ -486,17 +518,18 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         x, y = y, x
 
     runtime = time.perf_counter() - t0
-    _, X, U_el, uc = last
     if status != "optimal":
-        resid = _residuals(sp, X)
+        _, X, U_el, uc = last
+        Y = sp.to_Y(X)
+        resid = _residuals(model, Y, sp.cut_table)[0]
         obj = float(np.vdot(G, X)) + sp.const
         dual_bound = (None if status == "infeasible"
-                      else _dual_bound(sp, rho * U_el - G, rho * uc) + sp.const)
+                      else _dual_bound(sp, rho * U_el - G, rho * uc, G) + sp.const)
     resid["primal"] = r
     resid["dual"] = s
 
     return SdpSolution(
-        Y=sp.to_Y(X),
+        Y=Y,
         objective_value=obj,
         status=status,
         residuals=resid,
@@ -509,28 +542,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     )
 
 
-def _residuals(sp: _SolverSpace, Z: np.ndarray) -> dict:
-    """Model residuals of the solver-space iterate Z, in the units of Y.
-
-    Z is the cone matrix itself (kY - J, or Y on the plain cone), cut values
-    read through the transformed cuts equal those on Y, and the equality and
-    lower-bound residuals on Z are k times those on Y.
-    """
-    k = sp.k or 1
-    d = np.diagonal(Z)
-    eq = np.max(np.abs(d - sp.diag)) if sp.diag is not None else abs(d.sum() - sp.trace)
-    low = 0.0 if sp.lower is None else np.max(sp.lower - Z)
-    cutv = max((float(np.max(np.einsum("ca,ca->c", COEF, Z.reshape(-1)[IDX]) - RHS))
-                for IDX, COEF, RHS, _ in sp.cut_groups), default=0.0)
-    return {
-        "equality": float(eq) / k,
-        "cone_min_eig": float(np.linalg.eigvalsh(Z)[0]),
-        "lower_violation": max(float(low), 0.0) / k,
-        "cut_violation": max(cutv, 0.0),
-    }
-
-
-def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray) -> float:
+def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float:
     """Assemble a dual feasible point from the block multipliers.
 
     For max <G,Z> s.t. diag(Z)=d (or tr), Z >= B offdiag, <A_c,Z> <= b_c,
@@ -541,17 +553,18 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray) -> float:
     (rho U_el - G) and ``Y_c`` the cut blocks' (rho UC, flat).  B is the
     solver's floor: without one (none, or one the cone implies) M is zero
     and the bound is that of the relaxation without B, whose optimum is the
-    same.
+    same.  With ``G`` = 0 and the multipliers' step for ``Y_el`` and ``Y_c``,
+    a negative value is a Farkas certificate: no feasible Z exists.
     """
     n = sp.n
     if sp.diag is not None:
         nu = -np.diag(Y_el)
-        S = np.diag(nu) - sp.G
+        S = np.diag(nu) - G
         value = float(nu @ sp.diag)
         shift_weight = float(np.sum(sp.diag))
     else:
         nu0 = -float(np.trace(Y_el)) / n
-        S = nu0 * np.eye(n) - sp.G
+        S = nu0 * np.eye(n) - G
         value = nu0 * sp.trace
         shift_weight = sp.trace
     if sp.floor is not None:
@@ -592,44 +605,29 @@ class CertificationReport:
 
 
 def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> CertificationReport:
-    """Recompute all residuals of ``sol.Y`` independently of the solver loop.
+    """Check ``sol.Y`` against the model with ``_residuals``, the routine the
+    solver's stop test runs on the matrix it returns.
 
-    The cone eigenvalue comes from the spectra module rather than the
-    solver's projection path, so a broken solve cannot certify itself.
+    The routine reads only the model and the matrix, never the solver's
+    iterate, multipliers or change of variables, so a broken solve cannot
+    certify itself.  A matrix that is not finite or not symmetric (within
+    1e-10) is rejected with ``ValueError``.
     """
-    Y = sol.Y
-    n = model.n
-    if model.diag_values is not None:
-        eq = float(np.max(np.abs(np.diag(Y) - model.diag_values)))
-    else:
-        eq = float(abs(np.trace(Y) - model.trace_value))
-    cone_M = model.cone_k * Y - 1.0 if model.cone == "shifted_psd" else Y
-    # no grouping: a group's mean would hide a negative eigenvalue among
-    # zeros within the default grouping tolerance
-    spec = spectra.eigendecompose(cone_M, grouping_tolerance=0.0)
-    cone_min = float(spec.distinct_values[0])
-    if model.elementwise_lower is not None:
-        off = ~np.eye(n, dtype=bool)
-        low = float(np.max(np.clip(model.elementwise_lower - Y, 0.0, None)[off], initial=0.0))
-    else:
-        low = 0.0
-    bad = tuple(
-        idx for idx, cut in enumerate(model.cuts) if cut.value(Y) - cut.rhs > tol
-    )
-    cutv = max((cut.value(Y) - cut.rhs for cut in model.cuts), default=0.0)
-    rep = CertificationReport(
-        passed=(eq <= tol and cone_min >= -tol and low <= tol and not bad),
-        equality_ok=eq <= tol,
-        cone_ok=cone_min >= -tol,
-        lower_ok=low <= tol,
-        cuts_ok=not bad,
-        equality_residual=eq,
-        cone_min_eigenvalue=cone_min,
-        lower_violation=low,
-        cut_violation=float(max(cutv, 0.0)),
+    Y = np.asarray(sol.Y, dtype=float)
+    if Y.shape != (model.n, model.n) or not np.all(np.isfinite(Y)):
+        raise ValueError("solution matrix must be a finite n-by-n matrix")
+    if np.max(np.abs(Y - Y.T)) > 1e-10:
+        raise ValueError("solution matrix is not symmetric within 1e-10")
+    res, viol = _residuals(model, Y, _cut_table(model))
+    bad = tuple(int(c) for c in np.flatnonzero(viol > tol))
+    ok = dict(equality_ok=res["equality"] <= tol, cone_ok=res["cone_min_eig"] >= -tol,
+              lower_ok=res["lower_violation"] <= tol, cuts_ok=not bad)
+    return CertificationReport(
+        passed=all(ok.values()), **ok,
+        equality_residual=res["equality"], cone_min_eigenvalue=res["cone_min_eig"],
+        lower_violation=res["lower_violation"], cut_violation=res["cut_violation"],
         violated_cuts=bad,
     )
-    return rep
 
 
 def dump_model(model: SdpModel, stream=None) -> str:

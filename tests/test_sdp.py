@@ -138,6 +138,45 @@ def test_certify_reads_the_least_cone_eigenvalue():
     assert not rep.cone_ok and not rep.passed
 
 
+def test_certify_rejects_non_finite_and_asymmetric_matrices():
+    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    Y = np.eye(5)
+    Y[0, 1] = Y[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        certify(model, SdpSolution(Y=Y, objective_value=0.0, status="optimal", residuals={}))
+    Y = np.eye(5)
+    Y[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        certify(model, SdpSolution.from_matrix(model, Y))
+
+
+def test_certify_maps_cut_violations_to_model_order():
+    # arity-6 and arity-3 cuts interleaved: the residual routine groups them
+    # by arity, and only the second (an arity-3 cut) is violated
+    model = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
+    six = independent_set_cuts(10, 3)[0]
+    three = triangle_cuts(10)[0]
+    model.cuts.extend([six, Cut(pairs=three.pairs, coeffs=three.coeffs, rhs=-10.0), six])
+    assert [len(cut.pairs) for cut in model.cuts] == [6, 3, 6]
+    X = Partition(assignment=np.arange(10) % 3, k=3).incidence()
+    rep = certify(model, SdpSolution.from_matrix(model, X @ X.T))
+    assert rep.violated_cuts == (1,) and not rep.cuts_ok
+    assert rep.equality_ok and rep.cone_ok and rep.lower_ok
+
+
+def test_solve_residuals_are_those_certify_reads():
+    # one routine: the stop test's figures are certify's on the returned Y
+    model = build(named_graph("petersen"), 3, RelaxationKind.PERTURBED_SDP)
+    model.cuts.extend(triangle_cuts(10))
+    sol = solve(model)
+    rep = certify(model, sol)
+    assert sol.status == "optimal" and rep.passed
+    assert rep.equality_residual == sol.residuals["equality"]
+    assert rep.cone_min_eigenvalue == sol.residuals["cone_min_eig"]
+    assert rep.lower_violation == sol.residuals["lower_violation"]
+    assert rep.cut_violation == sol.residuals["cut_violation"]
+
+
 def test_partition_point_is_feasible_for_main_sdp(rng):
     g = named_graph("petersen")
     model = build(g, 3, RelaxationKind.MAIN_SDP)
@@ -147,13 +186,40 @@ def test_partition_point_is_feasible_for_main_sdp(rng):
     assert rep.passed
 
 
+# single-pair cuts Y[0,1] <= rhs on C_5 (the eig_sdp cut reads Y[0,1] + Y[0,2]),
+# each contradicting the relaxation's other constraints
+_INFEASIBLE_PROBES = [
+    (RelaxationKind.MAIN_SDP, 2, ((0, 1),), -5.0),
+    (RelaxationKind.MAIN_SDP, 3, ((0, 1),), -0.1),
+    (RelaxationKind.PERTURBED_SDP, 2, ((0, 1),), -2.0),
+    (RelaxationKind.EIG_SDP, 3, ((0, 1), (0, 2)), -30.0),
+    (RelaxationKind.FRIEZE_JERRUM, 3, ((0, 1),), -0.6),
+    (RelaxationKind.PERTURBED_SDP, 2, ((0, 1),), -0.502),  # barely: -0.5 is feasible
+]
+
+
+def _c5_with_cut(kind, k, pairs, rhs):
+    model = build(named_graph("cycle", (5,)), k, kind)
+    model.cuts.append(Cut(pairs=pairs, coeffs=(1.0,) * len(pairs), rhs=rhs))
+    return model
+
+
 def test_infeasible_cut_detected():
-    g = named_graph("cycle", (5,))
-    model = build(g, 2, RelaxationKind.MAIN_SDP)
-    model.cuts.append(Cut(pairs=((0, 1),), coeffs=(1.0,), rhs=-5.0))
-    sol = solve(model)
-    assert sol.status == "infeasible"
-    assert sol.iterations <= 25_000
+    # every probe is proved infeasible by a Farkas certificate built from the
+    # multipliers' step
+    for probe in _INFEASIBLE_PROBES:
+        sol = solve(_c5_with_cut(*probe))
+        assert sol.status == "infeasible", probe
+        assert sol.iterations <= 1_000, probe
+        assert sol.dual_bound is None
+
+
+def test_boundary_cut_is_not_infeasible():
+    # Y[0,1] = -1/2 is still feasible for perturbed_sdp at k = 2: ADMM creeps
+    # towards the boundary, and no certificate may call it infeasible
+    sol = solve(_c5_with_cut(RelaxationKind.PERTURBED_SDP, 2, ((0, 1),), -0.5),
+                SolverOptions(max_iter=2_000))
+    assert sol.status == "max_iter"
 
 
 def test_max_iter_status():
