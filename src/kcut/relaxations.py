@@ -80,6 +80,18 @@ def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _triangle(i: int, j: int, k: int) -> Cut:
+    """The triangle inequality y_ij + y_ik <= 1 + y_jk with apex i."""
+    return Cut(pairs=(_pair(i, j), _pair(i, k), _pair(j, k)),
+               coeffs=(1.0, 1.0, -1.0), rhs=1.0)
+
+
+def _clique(Q: tuple[int, ...]) -> Cut:
+    """The inequality sum_{i<j in Q} y_ij >= 1 on the sorted vertex set Q."""
+    pairs = tuple(itertools.combinations(Q, 2))
+    return Cut(pairs=pairs, coeffs=(-1.0,) * len(pairs), rhs=-1.0)
+
+
 def triangle_cuts(n: int) -> list[Cut]:
     """All 3 C(n,3) inequalities y_ij + y_ik <= 1 + y_jk: each unordered
     triple contributes one cut per choice of the apex i."""
@@ -87,11 +99,7 @@ def triangle_cuts(n: int) -> list[Cut]:
         raise ValueError("triangle cuts need n >= 3")
     cuts = []
     for a, b, c in itertools.combinations(range(n), 3):
-        for apex, j, kk in ((a, b, c), (b, a, c), (c, a, b)):
-            cuts.append(
-                Cut(pairs=(_pair(apex, j), _pair(apex, kk), _pair(j, kk)),
-                    coeffs=(1.0, 1.0, -1.0), rhs=1.0)
-            )
+        cuts += (_triangle(a, b, c), _triangle(b, a, c), _triangle(c, a, b))
     return cuts
 
 
@@ -115,13 +123,7 @@ def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
                 continue
             found.append((float(vi[idx]), (i, j, k2)))
     found.sort(key=lambda t: (-t[0], t[1]))
-    out = []
-    for viol, (i, j, k2) in found[:max_cuts]:
-        out.append(
-            Cut(pairs=(_pair(i, j), _pair(i, k2), _pair(j, k2)),
-                coeffs=(1.0, 1.0, -1.0), rhs=1.0)
-        )
-    return out
+    return [_triangle(*ijk) for _, ijk in found[:max_cuts]]
 
 
 def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> list[Cut]:
@@ -134,12 +136,7 @@ def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> list[Cut]:
         raise CapExceeded(
             f"C({n},{k + 1}) = {count} independent-set cuts exceed the cap {cap}"
         )
-    npairs = math.comb(k + 1, 2)
-    cuts = []
-    for Q in itertools.combinations(range(n), k + 1):
-        pairs = tuple(itertools.combinations(Q, 2))
-        cuts.append(Cut(pairs=pairs, coeffs=(-1.0,) * npairs, rhs=-1.0))
-    return cuts
+    return [_clique(Q) for Q in itertools.combinations(range(n), k + 1)]
 
 
 def _separate_independent_sets(Y, n, k, violation_tol, max_cuts, cap):
@@ -151,11 +148,7 @@ def _separate_independent_sets(Y, n, k, violation_tol, max_cuts, cap):
         if 1.0 - s > violation_tol:
             viol.append((1.0 - s, Q))
     viol.sort(key=lambda t: (-t[0], t[1]))
-    out = []
-    for _, Q in viol[:max_cuts]:
-        pairs = tuple(itertools.combinations(Q, 2))
-        out.append(Cut(pairs=pairs, coeffs=(-1.0,) * len(pairs), rhs=-1.0))
-    return out
+    return [_clique(Q) for _, Q in viol[:max_cuts]]
 
 
 def cutting_plane_loop(
@@ -172,16 +165,18 @@ def cutting_plane_loop(
     from the requested families ("triangles", "independent_sets") and
     re-solve, until separation finds nothing or ``rounds`` are exhausted.
 
-    The returned solution carries the per-round objectives and final cut
-    count in its info dict; objectives are nonincreasing across rounds.
+    The returned solution's info dict carries the final cut count, each
+    round's objective (``round_objectives``, nonincreasing across rounds) and
+    each round's certified upper bound (``round_dual_bounds``, the solve's
+    ``dual_bound``; None for a round that ended infeasible).
     """
     for fam in families:
         if fam not in ("triangles", "independent_sets"):
             raise ValueError(f"unknown cut family {fam!r}")
     model = build(g, k, base)
     sol = solve(model, options)
-    history = [sol.objective_value]
-    seen: set[tuple] = set()
+    history, bounds = [sol.objective_value], [sol.dual_bound]
+    seen: set[Cut] = set()
     for _ in range(rounds):
         new: list[Cut] = []
         if "triangles" in families:
@@ -192,15 +187,16 @@ def cutting_plane_loop(
             )
         fresh = []
         for cut in new:
-            key = (cut.pairs, cut.coeffs, cut.rhs)
-            if key not in seen:
-                seen.add(key)
+            if cut not in seen:
+                seen.add(cut)
                 fresh.append(cut)
         if not fresh:
             break
         model.cuts.extend(fresh[:max_cuts])
         sol = solve(model, options)
         history.append(sol.objective_value)
+        bounds.append(sol.dual_bound)
     sol.info["round_objectives"] = history
+    sol.info["round_dual_bounds"] = bounds
     sol.info["num_cuts"] = len(model.cuts)
     return sol

@@ -6,28 +6,30 @@ constraint, an optional elementwise lower bound, and optional sparse linear
 cuts.  That covers every relaxation in this package while keeping the solver
 self-contained.
 
-Algorithm: operator splitting in consensus form.  A shifted cone kY - J >= 0
-is removed up front by the substitution Z = kY - J, so the solver always
-works with a plain PSD cone.  The variable is a symmetric n-by-n matrix,
-whose Frobenius product is ``np.vdot``.  It is shared between two full
-blocks -- the PSD projection (one dense eigendecomposition per iteration)
-and the elementwise projection enforcing the equality and lower bounds,
-into which the linear objective folds as a shift of the projected point --
-plus one tiny block per cut, each a halfspace projection touching only its
-few upper-triangle entries (read at flat positions i*n + j and summed back
-onto both (i, j) and (j, i)).  Over-relaxation is fixed at 1.6 and the
-penalty parameter is auto-scaled from the objective norm, then held fixed
-for the whole solve.  The start point is the identity matrix, so runs
-are deterministic.
+Algorithm: operator splitting in consensus form, in the model's own
+coordinates.  Both cones are Y - s J >= 0, with the scalar shift s = 1/k for
+the shifted cone kY - J >= 0 and s = 0 for the plain one, so projecting onto
+the cone is s J + P(Y - s J), P the projection onto the PSD matrices.  The
+variable is a symmetric n-by-n matrix, whose Frobenius product is
+``np.vdot``.  It is shared between two full blocks -- the cone projection
+(one dense eigendecomposition per iteration) and the elementwise projection
+enforcing the equality and lower bounds, into which the linear objective
+folds as a shift of the projected point -- plus one tiny block per cut, each
+a halfspace projection touching only its few upper-triangle entries (read at
+flat positions i*n + j and summed back onto both (i, j) and (j, i)).
+Over-relaxation is fixed at 1.6 and the penalty parameter is auto-scaled
+from the objective norm, then held fixed for the whole solve.  The start
+point is the cone's barycentre (1 - s) I + s J, so runs are deterministic.
 
 A lower bound that the cone already implies is presolved away: under a
-diagonal constraint d, a PSD Z has |Z_ij| <= sqrt(d_i d_j), so a floor at or
-below -sqrt(d_i d_j) on every off-diagonal entry (main_sdp and
-frieze_jerrum at k = 2, both the Goemans-Williamson SDP) constrains nothing.
-The elementwise block then only sets the diagonal and the dual bound carries
-no floor multiplier; the residuals still measure the model's own bound.
-Enforced, such a floor leaves ADMM drifting for thousands of iterations at a
-near-constant residual while its multiplier drains to zero.
+diagonal constraint d, Y - s J >= 0 gives |Y_ij - s| <= sqrt((d_i - s)(d_j
+- s)), so a floor at or below s - sqrt((d_i - s)(d_j - s)) on every
+off-diagonal entry (main_sdp and frieze_jerrum at k = 2, both the
+Goemans-Williamson SDP) constrains nothing.  The elementwise block then only
+sets the diagonal and the dual bound carries no floor multiplier; the
+residuals still measure the model's own bound.  Enforced, such a floor
+leaves ADMM drifting for thousands of iterations at a near-constant residual
+while its multiplier drains to zero.
 
 The ADMM step x -> T(x) on the state x = (X, U_el, cut duals) is sped up by
 safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
@@ -196,9 +198,9 @@ class SdpSolution:
 
 
 def _cut_table(model: SdpModel) -> list[tuple]:
-    """The model's cuts grouped by arity, in the model's own coordinates: per
-    arity, the cuts' indices into ``model.cuts``, their flat upper-triangle
-    positions i*n + j, coefficients and right-hand sides."""
+    """The model's cuts grouped by arity: per arity, the cuts' indices into
+    ``model.cuts``, their flat upper-triangle positions i*n + j,
+    coefficients, right-hand sides and squared coefficient norms."""
     n = model.n
     rows: dict[int, list[int]] = {}
     for r, cut in enumerate(model.cuts):
@@ -206,10 +208,11 @@ def _cut_table(model: SdpModel) -> list[tuple]:
     table = []
     for a in sorted(rows):
         cuts = [model.cuts[r] for r in rows[a]]
+        COEF = np.array([cut.coeffs for cut in cuts], float)
         table.append((np.array(rows[a]),
                       np.array([[i * n + j for i, j in cut.pairs] for cut in cuts]),
-                      np.array([cut.coeffs for cut in cuts], float),
-                      np.array([cut.rhs for cut in cuts], float)))
+                      COEF, np.array([cut.rhs for cut in cuts], float),
+                      np.einsum("ca,ca->c", COEF, COEF)))
     return table
 
 
@@ -233,7 +236,7 @@ def _residuals(model: SdpModel, Y: np.ndarray, cut_table: list[tuple]):
         low = max(float(np.max(excess)), 0.0)
     viol = np.empty(len(model.cuts))
     flat = Y.reshape(-1)
-    for rows, IDX, COEF, RHS in cut_table:
+    for rows, IDX, COEF, RHS, _ in cut_table:
         viol[rows] = np.einsum("ca,ca->c", COEF, flat[IDX]) - RHS
     return {
         "equality": eq,
@@ -244,31 +247,22 @@ def _residuals(model: SdpModel, Y: np.ndarray, cut_table: list[tuple]):
 
 
 # ---------------------------------------------------------------------------
-# solver-space form: always a plain PSD cone
+# the model as the solver reads it
 # ---------------------------------------------------------------------------
 
 
 class _SolverSpace:
-    """The model after the Z = kY - J substitution (identity for psd cone)."""
+    """The model's data as the solver reads it, in the model's coordinates:
+    the objective, equality, enforced floor and cuts, plus the cone's shift
+    s (the cone is Y - s J >= 0)."""
 
     def __init__(self, model: SdpModel):
         n = model.n
         self.n = n
-        k = model.cone_k if model.cone == "shifted_psd" else None
-        self.k = k
-        C = model.objective
-        B = model.elementwise_lower
-        if k is None:
-            G = model.obj_scale * C
-            self.const = 0.0
-            self.diag = model.diag_values
-            self.trace = model.trace_value
-        else:
-            G = (model.obj_scale / k) * C
-            self.const = (model.obj_scale / k) * float(C.sum())
-            self.diag = None if model.diag_values is None else k * model.diag_values - 1.0
-            self.trace = None if model.trace_value is None else k * model.trace_value - n
-            B = None if B is None else k * B - 1.0
+        self.shift = 1.0 / model.cone_k if model.cone == "shifted_psd" else 0.0
+        self.diag = model.diag_values
+        self.trace = model.trace_value
+        G, B = model.obj_scale * model.objective, model.elementwise_lower
         # the upper triangle defines both matrices, mirrored so every iterate
         # stays exactly symmetric; the lower bound leaves the diagonal free
         self.G = np.triu(G) + np.triu(G, 1).T
@@ -276,23 +270,21 @@ class _SolverSpace:
         if B is not None:
             self.floor = np.triu(B, 1) + np.triu(B, 1).T
             np.fill_diagonal(self.floor, -np.inf)
-        # the floor the solver enforces: none when a PSD Z with diagonal d
-        # already has Z_ij >= -sqrt(d_i d_j) >= floor_ij everywhere
-        if (self.floor is not None and self.diag is not None and self.diag.min() >= 0
-                and np.all(self.floor <= -np.sqrt(np.outer(self.diag, self.diag)))):
-            self.floor = None
+        # the floor the solver enforces: none when Y - sJ >= 0 with diagonal
+        # d already has Y_ij >= s - sqrt((d_i - s)(d_j - s)) >= floor_ij
+        if self.floor is not None and self.diag is not None:
+            e = self.diag - self.shift
+            if e.min() >= 0 and np.all(self.floor <= self.shift - np.sqrt(np.outer(e, e))):
+                self.floor = None
         # the model's cuts grouped by arity (read again by _residuals), and
-        # per group the coefficients on Z, rhs and squared coefficient norms
+        # each group's run of cut entries in the flat cut state
         self.cut_table = _cut_table(model)
-        self.cut_groups, self.cut_slices, start = [], [], 0
-        for _, IDX, COEF, RHS in self.cut_table:
-            if k is not None:
-                COEF, RHS = COEF / k, RHS - COEF.sum(axis=1) / k
-            self.cut_groups.append((IDX, COEF, RHS, np.einsum("ca,ca->c", COEF, COEF)))
-            self.cut_slices.append(slice(start, start + IDX.size))
-            start += IDX.size
+        self.cut_slices, start = [], 0
+        for grp in self.cut_table:
+            self.cut_slices.append(slice(start, start + grp[1].size))
+            start += grp[1].size
         self.cut_idx = np.concatenate([np.zeros(0, np.int64)]
-                                      + [grp[0].ravel() for grp in self.cut_groups])
+                                      + [grp[1].ravel() for grp in self.cut_table])
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Sum per-position cut values (flat, in ``cut_idx`` order) into a
@@ -307,11 +299,6 @@ class _SolverSpace:
         n, nn = self.n, self.n * self.n
         buf = np.zeros(2 * nn + self.cut_idx.size)
         return buf, buf[:nn].reshape(n, n), buf[nn:2 * nn].reshape(n, n), buf[2 * nn:]
-
-    def to_Y(self, Z: np.ndarray) -> np.ndarray:
-        if self.k is None:
-            return Z.copy()
-        return (Z + 1.0) / self.k
 
 
 class _Anderson:
@@ -414,7 +401,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
     sp = _SolverSpace(model)
     n = sp.n
-    G, floor, cut_idx = sp.G, sp.floor, sp.cut_idx
+    G, floor, cut_idx, shift = sp.G, sp.floor, sp.cut_idx, sp.shift
     ncut = cut_idx.size
     # one fixed penalty, auto-scaled from the objective norm
     rho = max(float(np.linalg.norm(G)) / n, 1e-3)
@@ -428,6 +415,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     # scatter every cut entry a second time) and it is recovered from the
     # invariant whenever acceleration moves the state
     x, y = sp.state(), sp.state()
+    x[1][...] = shift  # the barycentre (1 - s) I + s J
     np.fill_diagonal(x[1], 1.0)
     U_psd = np.zeros((n, n))
     last = x
@@ -459,16 +447,16 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             # cut blocks: halfspace projections of the entries they touch
             xc = X.reshape(-1)[cut_idx]
             V = xc - uc
-            for (IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_groups, sp.cut_slices):
+            for (_, IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_table, sp.cut_slices):
                 Vg = V[sl].reshape(IDX.shape)
                 viol = np.einsum("ca,ca->c", COEF, Vg) - RHS
                 pos = viol > 0
                 if pos.any():
                     Vg[pos] -= (viol[pos] / NORMSQ[pos])[:, None] * COEF[pos]
             step = alpha * V + (1 - alpha) * xc
-        w, Q = np.linalg.eigh(X - U_psd)
+        w, Q = np.linalg.eigh(X - U_psd - shift)
         Q *= np.sqrt(np.maximum(w, 0.0))
-        zn_psd = Q @ Q.T  # a symmetric rank-k update: exactly symmetric
+        zn_psd = Q @ Q.T + shift  # a symmetric rank-k update: exactly symmetric
         # the linear objective rides in the elementwise prox as a shift
         zn_el = proj_el(X - U_el + g_rho)
 
@@ -490,12 +478,11 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 r2 += 2 * np.sum((V - xnc) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            Y = sp.to_Y(Xn)
-            resid = _residuals(model, Y, sp.cut_table)[0]
+            resid = _residuals(model, Xn, sp.cut_table)[0]
             if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                     <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
-                obj = float(np.vdot(G, Xn)) + sp.const
-                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * ucn, G) + sp.const
+                obj = float(np.vdot(G, Xn))
+                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * ucn, G)
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
@@ -518,18 +505,17 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         x, y = y, x
 
     runtime = time.perf_counter() - t0
+    _, X, U_el, uc = last
     if status != "optimal":
-        _, X, U_el, uc = last
-        Y = sp.to_Y(X)
-        resid = _residuals(model, Y, sp.cut_table)[0]
-        obj = float(np.vdot(G, X)) + sp.const
+        resid = _residuals(model, X, sp.cut_table)[0]
+        obj = float(np.vdot(G, X))
         dual_bound = (None if status == "infeasible"
-                      else _dual_bound(sp, rho * U_el - G, rho * uc, G) + sp.const)
+                      else _dual_bound(sp, rho * U_el - G, rho * uc, G))
     resid["primal"] = r
     resid["dual"] = s
 
     return SdpSolution(
-        Y=Y,
+        Y=X.copy(),
         objective_value=obj,
         status=status,
         residuals=resid,
@@ -545,28 +531,31 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float:
     """Assemble a dual feasible point from the block multipliers.
 
-    For max <G,Z> s.t. diag(Z)=d (or tr), Z >= B offdiag, <A_c,Z> <= b_c,
-    Z psd, the dual slack is S = Diag(nu) - M + sum mu_c A_c - G with
-    M, mu >= 0 and S psd; any deficit in S is repaired by shifting nu
-    uniformly, which keeps feasibility and costs t * sum(d) (resp. t * tr).
+    For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
+    Y - sJ psd, the dual slack is S = Diag(nu) - M + sum mu_c A_c - G with
+    M, mu >= 0, and every feasible Y has <G,Y> = nu.d - <M,Y> + sum mu_c
+    <A_c,Y> - <S,Y> <= nu.d - <M,B> + sum mu_c b_c - <S,Y>.  Once S + tI is
+    psd, Y - sJ psd gives <S + tI, Y> >= s <S + tI, J>, so shifting nu by t
+    bounds the objective by nu.d - <M,B> + sum mu_c b_c + t (sum(d) - n s)
+    - s sum(S) (tr in place of sum(d) under a trace constraint).
     ``Y_el`` is the elementwise block's multiplier without the objective
     (rho U_el - G) and ``Y_c`` the cut blocks' (rho UC, flat).  B is the
     solver's floor: without one (none, or one the cone implies) M is zero
     and the bound is that of the relaxation without B, whose optimum is the
     same.  With ``G`` = 0 and the multipliers' step for ``Y_el`` and ``Y_c``,
-    a negative value is a Farkas certificate: no feasible Z exists.
+    a negative value is a Farkas certificate: no feasible Y exists.
     """
     n = sp.n
     if sp.diag is not None:
         nu = -np.diag(Y_el)
         S = np.diag(nu) - G
         value = float(nu @ sp.diag)
-        shift_weight = float(np.sum(sp.diag))
+        dsum = float(np.sum(sp.diag))
     else:
         nu0 = -float(np.trace(Y_el)) / n
         S = nu0 * np.eye(n) - G
         value = nu0 * sp.trace
-        shift_weight = sp.trace
+        dsum = sp.trace
     if sp.floor is not None:
         # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where
         # the lower bound is active; clip to the feasible orthant
@@ -575,11 +564,11 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float
         S[off] -= M_hat
         value -= float(M_hat @ sp.floor[off])
 
-    # cut c is sum_p coef_p Z_p <= rhs with A_c holding coef_p / 2 at (i, j)
+    # cut c is sum_p coef_p Y_p <= rhs with A_c holding coef_p / 2 at (i, j)
     # and (j, i); its two-sided entries double the multiplier formula
-    if sp.cut_groups:
+    if sp.cut_table:
         MU = np.empty(sp.cut_idx.size)
-        for (IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_groups, sp.cut_slices):
+        for (_, IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_table, sp.cut_slices):
             yc = Y_c[sl].reshape(IDX.shape)
             mu = np.clip(-2.0 * np.einsum("ca,ca->c", yc, COEF) / NORMSQ, 0.0, None)
             MU[sl] = (mu[:, None] * COEF).ravel()
@@ -587,7 +576,7 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float
         S += 0.5 * sp.scatter(MU)
 
     t = max(0.0, -float(np.linalg.eigvalsh(S)[0]))
-    return value + t * shift_weight
+    return value + t * (dsum - n * sp.shift) - sp.shift * float(S.sum())
 
 
 @dataclass(frozen=True)
@@ -609,8 +598,7 @@ def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> Certificati
     solver's stop test runs on the matrix it returns.
 
     The routine reads only the model and the matrix, never the solver's
-    iterate, multipliers or change of variables, so a broken solve cannot
-    certify itself.  A matrix that is not finite or not symmetric (within
+    iterate or multipliers, so a broken solve cannot certify itself.  A matrix that is not finite or not symmetric (within
     1e-10) is rejected with ``ValueError``.
     """
     Y = np.asarray(sol.Y, dtype=float)

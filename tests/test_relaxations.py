@@ -14,7 +14,7 @@ from kcut.relaxations import (
     separate_triangles,
     triangle_cuts,
 )
-from kcut.sdp import solve
+from kcut.sdp import SolverOptions, solve
 from kcut.spectra import lambda_max
 
 
@@ -87,6 +87,17 @@ def test_cutting_plane_loop_pentagon():
 
     sol2 = cutting_plane_loop(g, 2, families=("triangles", "independent_sets"))
     assert abs(sol2.objective_value - 4.0) <= 1e-4
+
+
+def test_cutting_plane_loop_reports_round_dual_bounds():
+    # every round certifies an upper bound on a relaxation the final round
+    # only tightens, so none may fall below the final objective
+    sol = cutting_plane_loop(named_graph("cycle", (5,)), 2, families=("triangles",))
+    bounds = sol.info["round_dual_bounds"]
+    assert len(bounds) == len(sol.info["round_objectives"]) >= 2
+    obj, tol = sol.objective_value, SolverOptions().tol_gap
+    assert all(b >= obj - tol * (1 + abs(obj)) for b in bounds)
+    assert bounds[-1] == sol.dual_bound
 
 
 def test_main_equals_frieze_jerrum(rng):

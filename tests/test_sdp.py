@@ -238,10 +238,10 @@ def _certified(sol, opts):
 
 def test_stop_rule_is_the_certified_test():
     # the loop stops at the first check that passes the certified test, so
-    # one check earlier the same solve must still fail it; the trace model on
-    # C_13 at k = 3 needs several checks, so the earlier one is a real
-    # iterate, not the start point
-    model = build(named_graph("cycle", (13,)), 3, RelaxationKind.EIG_SDP)
+    # one check earlier the same solve must still fail it; perturbed_sdp at
+    # k = 2 on the dominance corpus's eighth graph needs several checks, so
+    # the earlier one is a real iterate, not the start point
+    model = build(_dominance_corpus()[7], 2, RelaxationKind.PERTURBED_SDP)
     opts = SolverOptions()
     sol = solve(model)
     assert sol.status == "optimal" and _certified(sol, opts)
@@ -258,6 +258,14 @@ def test_penalty_is_fixed_for_the_solve():
     sol = solve(model)
     assert sol.status == "optimal"
     assert sol.info["rho"] == max(float(np.linalg.norm(_SolverSpace(model).G)) / g.n, 1e-3)
+
+
+def test_dominance_tail_certifies_quickly():
+    # main_sdp at k = 4 on the dominance corpus's seventh graph, G(12, 1/2),
+    # certifies in 700 iterations; the bound catches a return of the
+    # 24,025-iteration drift it showed with the cone substituted away
+    sol = solve(build(_dominance_corpus()[6], 4, RelaxationKind.MAIN_SDP))
+    assert sol.status == "optimal" and sol.iterations <= 2_000
 
 
 def _traced_peak(fn):
