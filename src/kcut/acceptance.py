@@ -110,6 +110,10 @@ _PENTAGON_MAIN = 4.5225424859373686  # 5/4 * (2 + golden ratio), printed 4.52
 _PENTAGON_TRI = 25.0 / 6.0  # printed as 4.16
 
 
+def _solver_work(sol) -> str:
+    return f"iterations={sol.iterations} aa_steps={sol.info['aa_steps']}"
+
+
 def _solve_with_cuts(g, k, cuts):
     model = build(g, k, RelaxationKind.MAIN_SDP)
     model.cuts.extend(cuts)
@@ -167,19 +171,21 @@ def group_coxeter() -> list[CheckResult]:
 
     t0 = time.perf_counter()
     tri = triangle_cuts(28)
-    vt = _solve_with_cuts(g, 2, tri).objective_value
+    sol = _solve_with_cuts(g, 2, tri)
+    vt = sol.objective_value
     out.append(_result(
         "coxeter", "all_9828_triangles_give_36.75",
         len(tri) == 9828 and abs(vt - 36.75) <= 5e-3,
-        f"{len(tri)} cuts, value {vt:.6f} vs 36.75", t0))
+        f"{len(tri)} cuts, value {vt:.6f} vs 36.75, {_solver_work(sol)}", t0))
 
     t0 = time.perf_counter()
     indep = independent_set_cuts(28, 2)
-    vi = _solve_with_cuts(g, 2, tri + indep).objective_value
+    sol = _solve_with_cuts(g, 2, tri + indep)
+    vi = sol.objective_value
     out.append(_result(
         "coxeter", "triangles_plus_3276_indep_give_36.00",
         len(indep) == 3276 and abs(vi - 36.0) <= 5e-3,
-        f"{len(indep)} indep cuts, value {vi:.6f} vs 36.00", t0))
+        f"{len(indep)} indep cuts, value {vi:.6f} vs 36.00, {_solver_work(sol)}", t0))
 
     t0 = time.perf_counter()
     _, cut = brute_force_maxkcut(g, 2)

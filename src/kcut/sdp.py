@@ -31,14 +31,26 @@ residuals still measure the model's own bound.  Enforced, such a floor
 leaves ADMM drifting for thousands of iterations at a near-constant residual
 while its multiplier drains to zero.
 
-The ADMM step x -> T(x) on the state x = (X, U_el, cut duals) is sped up by
+The cut blocks' duals are kept in factored form.  Every cut block takes the
+same consensus step X - Xn, and a halfspace projection moves a block only
+along its own coefficients, so from a zero start cut c's scaled dual is
+always E[pairs_c] + beta_c coef_c: one symmetric matrix E and one scalar per
+cut, updated as E <- (1 - a) E + (X - Xn) and beta <- (1 - a) beta - a lam,
+where a is the over-relaxation, lam = max(viol, 0) / |coef|^2 and viol = A(X
+- E) - beta |coef|^2 - rhs, A applying the cuts to a matrix (``_Cuts``).  The
+block duals sum to zero (U_psd + U_el + the cut duals summed into a
+matrix), so the consensus step reads the cut duals through that sum and
+scatters only the violated cuts' lam.  Per-entry duals are formed only at
+the checks, for the residuals and the Farkas margin.
+
+The ADMM step x -> T(x) on the state x = (X, U_el, E, beta) is sped up by
 safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
 1e-10 times its trace, and a revert to the plain step, with the history
 cleared, whenever the accelerated point's fixed-point residual is larger
 than that of the point before it (or not finite).  Acceleration stops after
-500 reverts, and only then.  The history keeps the upper triangles only and
-is O(n^2): models whose cut entries number more than 16 n(n+1) run plain
-ADMM.
+500 reverts, and only then.  The history keeps the upper triangles of X and
+U_el, E at the cut entries and beta, so it is O(n^2 + #cuts), and every
+model is accelerated.
 
 One residual routine, ``_residuals``, reads a matrix in the model's own
 coordinates: the solver's stop test runs it on the very matrix ``solve``
@@ -63,6 +75,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -174,7 +187,6 @@ _CHECK_EVERY = 25  # iterations between stop tests
 _AA_DEPTH = 10  # Anderson history length
 _AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
 _AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
-_AA_CUT_ENTRIES = 16  # accelerate models with at most this many times n(n+1) cut entries
 
 
 @dataclass
@@ -197,31 +209,78 @@ class SdpSolution:
                    status=status, residuals={})
 
 
-def _cut_table(model: SdpModel) -> list[tuple]:
-    """The model's cuts grouped by arity: per arity, the cuts' indices into
-    ``model.cuts``, their flat upper-triangle positions i*n + j,
-    coefficients, right-hand sides and squared coefficient norms."""
-    n = model.n
-    rows: dict[int, list[int]] = {}
-    for r, cut in enumerate(model.cuts):
-        rows.setdefault(len(cut.pairs), []).append(r)
-    table = []
-    for a in sorted(rows):
-        cuts = [model.cuts[r] for r in rows[a]]
-        COEF = np.array([cut.coeffs for cut in cuts], float)
-        table.append((np.array(rows[a]),
-                      np.array([[i * n + j for i, j in cut.pairs] for cut in cuts]),
-                      COEF, np.array([cut.rhs for cut in cuts], float),
-                      np.einsum("ca,ca->c", COEF, COEF)))
-    return table
+class _Cuts:
+    """The model's cuts as one linear operator A, A(M)_c = sum_p coef_p
+    M[i_p, j_p] over cut c's upper-triangle pairs.
+
+    Cuts are grouped by arity a, each group holding its flat positions
+    i*n + j and its coefficients as (a, C_a) arrays, column c for one cut,
+    so that applying a group reads one contiguous row per term.  Cuts are
+    numbered in group order; ``order`` maps that numbering to
+    ``model.cuts``.  ``count`` holds the number of cut entries at each matrix
+    entry, on both (i, j) and (j, i).
+    """
+
+    def __init__(self, model: SdpModel):
+        n = self.n = model.n
+        arity = np.array([len(cut.pairs) for cut in model.cuts], dtype=np.int64)
+        self.order = np.argsort(arity, kind="stable")
+        cuts = [model.cuts[r] for r in self.order]
+        self.size = len(cuts)
+        self.groups, start = [], 0
+        for a, m in zip(*np.unique(arity, return_counts=True)):
+            grp = cuts[start:start + m]
+            P = np.fromiter(chain.from_iterable(chain.from_iterable(cut.pairs for cut in grp)),
+                            np.int64, count=2 * a * m).reshape(m, a, 2)
+            COEF = np.fromiter(chain.from_iterable(cut.coeffs for cut in grp), float,
+                               count=a * m).reshape(m, a)
+            self.groups.append((slice(start, start + m), (P[..., 0] * n + P[..., 1]).T.copy(),
+                                COEF.T.copy()))
+            start += m
+        self.rhs = np.array([cut.rhs for cut in cuts], float)
+        self.normsq = np.concatenate([np.zeros(0)] + [np.einsum("ac,ac->c", COEF, COEF)
+                                                      for _, _, COEF in self.groups])
+        T = np.bincount(np.concatenate([np.zeros(0, np.int64)]
+                                       + [IDX.ravel() for _, IDX, _ in self.groups]),
+                        minlength=n * n).reshape(n, n)
+        self.count = T + T.T
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """A(M): every cut's value at M, read from M's upper triangle."""
+        flat, out = M.reshape(-1), np.empty(self.size)
+        for sl, IDX, COEF in self.groups:
+            out[sl] = np.einsum("ac,ac->c", COEF, flat[IDX])
+        return out
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """sum_c v_c coef_c as a symmetric n-by-n matrix, each coefficient
+        landing on both (i, j) and (j, i); only the cuts with v_c != 0 are
+        read."""
+        n = self.n
+        T = np.zeros(n * n)
+        for sl, IDX, COEF in self.groups:
+            vg = v[sl]
+            nz = np.flatnonzero(vg != 0)
+            if nz.size:
+                T += np.bincount(IDX.take(nz, axis=1).ravel(),
+                                 (COEF.take(nz, axis=1) * vg[nz]).ravel(), n * n)
+        T = T.reshape(n, n)
+        return T + T.T
+
+    def entries(self, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The per-entry values M[i_p, j_p] + v_c coef_p of every cut, flat:
+        a cut dual in the factored form the solver keeps, entry by entry."""
+        flat = M.reshape(-1)
+        return np.concatenate([np.zeros(0)] + [(flat[IDX] + v[sl] * COEF).ravel()
+                                               for sl, IDX, COEF in self.groups])
 
 
-def _residuals(model: SdpModel, Y: np.ndarray, cut_table: list[tuple]):
+def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts):
     """Model residuals of Y, in the model's own coordinates, and each cut's
     violation (value minus rhs) in ``model.cuts`` order.
 
-    Reads only the model and Y: ``cut_table`` is ``_cut_table(model)``,
-    which a caller checking many matrices of one model builds once.
+    Reads only the model and Y: ``cuts`` is ``_Cuts(model)``, which a caller
+    checking many matrices of one model builds once.
     """
     d = np.diagonal(Y)
     if model.diag_values is not None:
@@ -234,10 +293,8 @@ def _residuals(model: SdpModel, Y: np.ndarray, cut_table: list[tuple]):
         excess = model.elementwise_lower - Y
         np.fill_diagonal(excess, 0.0)  # the diagonal is the equality's
         low = max(float(np.max(excess)), 0.0)
-    viol = np.empty(len(model.cuts))
-    flat = Y.reshape(-1)
-    for rows, IDX, COEF, RHS, _ in cut_table:
-        viol[rows] = np.einsum("ca,ca->c", COEF, flat[IDX]) - RHS
+    viol = np.empty(cuts.size)
+    viol[cuts.order] = cuts.apply(Y) - cuts.rhs
     return {
         "equality": eq,
         "cone_min_eig": float(np.linalg.eigvalsh(cone)[0]),
@@ -276,29 +333,18 @@ class _SolverSpace:
             e = self.diag - self.shift
             if e.min() >= 0 and np.all(self.floor <= self.shift - np.sqrt(np.outer(e, e))):
                 self.floor = None
-        # the model's cuts grouped by arity (read again by _residuals), and
-        # each group's run of cut entries in the flat cut state
-        self.cut_table = _cut_table(model)
-        self.cut_slices, start = [], 0
-        for grp in self.cut_table:
-            self.cut_slices.append(slice(start, start + grp[1].size))
-            start += grp[1].size
-        self.cut_idx = np.concatenate([np.zeros(0, np.int64)]
-                                      + [grp[1].ravel() for grp in self.cut_table])
-
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Sum per-position cut values (flat, in ``cut_idx`` order) into a
-        symmetric n-by-n matrix, each value landing on both (i, j) and (j, i)."""
-        n = self.n
-        T = np.bincount(self.cut_idx, values, n * n).reshape(n, n)
-        return T + T.T
+        self.cuts = _Cuts(model)
 
     def state(self):
-        """A zeroed solver state (buffer, X, U_el, cut duals): the last three
-        are views of the flat buffer, the state vector being accelerated."""
-        n, nn = self.n, self.n * self.n
-        buf = np.zeros(2 * nn + self.cut_idx.size)
-        return buf, buf[:nn].reshape(n, n), buf[nn:2 * nn].reshape(n, n), buf[2 * nn:]
+        """A zeroed solver state (buffer, X, U_el, E, beta): the rest are
+        views of the flat buffer, the state vector being accelerated.  E and
+        beta factor the cut duals (see ``solve``); without cuts the buffer
+        holds neither, E being a zero matrix beside it and beta empty."""
+        n, nn, m = self.n, self.n * self.n, self.cuts.size
+        buf = np.zeros(2 * nn + (nn + m if m else 0))
+        X, U_el = buf[:nn].reshape(n, n), buf[nn:2 * nn].reshape(n, n)
+        E = buf[2 * nn:3 * nn].reshape(n, n) if m else np.zeros((n, n))
+        return buf, X, U_el, E, buf[3 * nn:]
 
 
 class _Anderson:
@@ -308,19 +354,33 @@ class _Anderson:
     The history holds the last ``_AA_DEPTH`` differences of f = T(x) - x and
     of T(x) in ring buffers, with the Gram matrix of the f differences grown
     one row per iteration.  The state is symmetric, so the history keeps only
-    the upper triangles of X and U_el (plus the cut duals): half the memory.
-    ``solve`` keeps one only for models with at most 16 n(n+1) cut entries,
-    so it stays O(n^2).
+    the upper triangles of X, U_el and E, of E only the entries some cut
+    reads: O(n^2 + #cuts).  With cuts, the metric weights E_ij by the square
+    root of the number of cuts reading it and beta_c by |coef_c|, so that it
+    follows the inner product of the per-entry cut duals; without cuts it is
+    the plain one on the upper triangles.
     """
 
     def __init__(self, sp: _SolverSpace):
-        n, nn = sp.n, sp.n * sp.n
+        n, nn, cuts = sp.n, sp.n * sp.n, sp.cuts
         iu, ju = np.triu_indices(n)
         up, lo = iu * n + ju, ju * n + iu
-        self.pack = np.concatenate([up, nn + up, 2 * nn + np.arange(sp.cut_idx.size)])
-        self.mirror = np.concatenate([lo, nn + lo])
+        # the packed vector: gathered matrix entries, then beta, a
+        # contiguous tail of the state copied whole
+        self.pack = np.concatenate([up, nn + up])
+        self.mirror = np.concatenate([lo, nn + lo])  # the entries pack reflects
+        self.tail = self.weight = None
+        if cuts.size:
+            pos = np.flatnonzero(np.triu(cuts.count, 1))
+            self.pack = np.concatenate([self.pack, 2 * nn + pos])
+            self.mirror = np.concatenate([self.mirror, 2 * nn + pos % n * n + pos // n])
+            self.tail = slice(3 * nn, None)
+            self.weight = np.concatenate([np.ones(2 * up.size),
+                                          np.sqrt(cuts.count.reshape(-1)[pos]),
+                                          np.sqrt(cuts.normsq)])
+        size = self.pack.size + cuts.size
         m = _AA_DEPTH
-        self.dF, self.dT = np.empty((m, self.pack.size)), np.empty((m, self.pack.size))
+        self.dF, self.dT = np.empty((m, size)), np.empty((m, size))
         self.gram, self.eye = np.zeros((m, m)), np.eye(m)
         self.sq = [0.0] * m  # the Gram diagonal
         self.steps = self.rejected = 0
@@ -332,16 +392,25 @@ class _Anderson:
         self.pending = False
         self.f_prev = self.t_prev = None
 
+    def _pack(self, xb: np.ndarray) -> np.ndarray:
+        v = xb[self.pack]
+        return v if self.tail is None else np.concatenate([v, xb[self.tail]])
+
     def _unpack(self, v: np.ndarray, xb: np.ndarray):
-        xb[self.pack] = v
-        xb[self.mirror] = v[: self.mirror.size]
+        k = self.pack.size
+        xb[self.pack] = v[:k]
+        xb[self.mirror] = v[:k]
+        if self.tail is not None:
+            xb[self.tail] = v[k:]
 
     def advance(self, xb: np.ndarray, yb: np.ndarray) -> bool:
         """Given the state xb and its plain step yb = T(xb), write the next
         iterate into xb and return True, or return False for xb <- yb."""
-        t = yb[self.pack]
+        t = self._pack(yb)
         f = self.dF[self.slot]
-        np.subtract(t, xb[self.pack], out=f)
+        np.subtract(t, self._pack(xb), out=f)
+        if self.weight is not None:
+            f *= self.weight
         fn = math.sqrt(np.dot(f, f))
         if self.pending:
             self.pending = False
@@ -389,31 +458,32 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     Status ``optimal`` means the certified test stopped the loop, and
     ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
     means a Farkas certificate stopped it; ``max_iter`` returns the last
-    iterate.  Anderson acceleration only chooses where the next plain ADMM
-    step starts, so it changes how soon a solve certifies, never what is
-    certified.  The residuals also carry the ADMM ``primal`` and ``dual``
-    residuals of the last check; ``sol.info`` reports the fixed penalty
-    (``rho``) and counts the accepted (``aa_steps``) and rejected
-    (``aa_rejected``) accelerated steps.
+    iterate.  Anderson acceleration, run on every model, only chooses where
+    the next plain ADMM step starts, so it changes how soon a solve
+    certifies, never what is certified.  The residuals also carry the ADMM
+    ``primal`` and ``dual`` residuals of the last check; ``sol.info`` reports
+    the fixed penalty (``rho``) and counts the accepted (``aa_steps``) and
+    rejected (``aa_rejected``) accelerated steps.
     """
     opts = options or SolverOptions()
     if model.n > opts.n_cap:
         raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
     sp = _SolverSpace(model)
-    n = sp.n
-    G, floor, cut_idx, shift = sp.G, sp.floor, sp.cut_idx, sp.shift
-    ncut = cut_idx.size
+    n, cuts = sp.n, sp.cuts
+    G, floor, shift = sp.G, sp.floor, sp.shift
     # one fixed penalty, auto-scaled from the objective norm
     rho = max(float(np.linalg.norm(G)) / n, 1e-3)
     g_rho = G / rho
     alpha = _ALPHA
 
-    deg = 2.0 + sp.scatter(np.ones(ncut))
-    # x is the iterate, y = T(x) the plain ADMM step from it.  Every step
-    # keeps U_psd + U_el + scatter(UC) = 0, so the PSD block's scaled dual is
-    # not part of the state: plain steps carry it along (recovering it would
-    # scatter every cut entry a second time) and it is recovered from the
-    # invariant whenever acceleration moves the state
+    deg = 2.0 + cuts.count
+    # x is the iterate, y = T(x) the plain ADMM step from it; E and beta
+    # factor the cut duals (see the module docstring).  Every step keeps
+    # U_psd + U_el + count * E + scatter(beta) = 0, the block duals summed
+    # into a matrix, so the PSD block's scaled dual is not part of the state:
+    # plain steps carry it along, it is recovered from the sum whenever
+    # acceleration moves the state, and the consensus step reads the cut
+    # duals through it
     x, y = sp.state(), sp.state()
     x[1][...] = shift  # the barycentre (1 - s) I + s J
     np.fill_diagonal(x[1], 1.0)
@@ -430,87 +500,81 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             np.maximum(V, floor, out=V)
         return V
 
-    # cut-heavy models, whose state is dominated by cut duals, run plain
-    # ADMM, so the Anderson history stays O(n^2)
-    aa = _Anderson(sp) if ncut <= _AA_CUT_ENTRIES * n * (n + 1) else None
+    aa = _Anderson(sp)
 
     t0 = time.perf_counter()
     status = "max_iter"
     r = s = np.inf
     it = 0
     for it in range(1, opts.max_iter + 1):
-        xb, X, U_el, uc = x
-        yb, Xn, U_eln, ucn = y
+        xb, X, U_el, E, beta = x
+        yb, Xn, U_eln, En, betan = y
         last = y
         X_rel = (1 - alpha) * X
-        if ncut:
-            # cut blocks: halfspace projections of the entries they touch
-            xc = X.reshape(-1)[cut_idx]
-            V = xc - uc
-            for (_, IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_table, sp.cut_slices):
-                Vg = V[sl].reshape(IDX.shape)
-                viol = np.einsum("ca,ca->c", COEF, Vg) - RHS
-                pos = viol > 0
-                if pos.any():
-                    Vg[pos] -= (viol[pos] / NORMSQ[pos])[:, None] * COEF[pos]
-            step = alpha * V + (1 - alpha) * xc
         w, Q = np.linalg.eigh(X - U_psd - shift)
         Q *= np.sqrt(np.maximum(w, 0.0))
         zn_psd = Q @ Q.T + shift  # a symmetric rank-k update: exactly symmetric
         # the linear objective rides in the elementwise prox as a shift
         zn_el = proj_el(X - U_el + g_rho)
 
-        acc = alpha * (zn_psd + zn_el) + 2 * X_rel + (U_psd + U_el)
-        if ncut:
-            acc += sp.scatter(step + uc)
+        U_sum = U_psd + U_el
+        acc = alpha * (zn_psd + zn_el) + 2 * X_rel + U_sum
+        if cuts.size:
+            # cut c's block projects X[pairs_c] minus its dual onto its
+            # halfspace, moving it by -lam_c coef_c
+            viol = cuts.apply(X - E) - beta * cuts.normsq - cuts.rhs
+            lam = np.maximum(viol, 0.0) / cuts.normsq
+            acc += cuts.count * X - (1 - alpha) * U_sum - alpha * cuts.scatter(lam)
         np.divide(acc, deg, out=Xn)
         U_psd += alpha * zn_psd + X_rel - Xn
         np.subtract(alpha * zn_el + X_rel + U_el, Xn, out=U_eln)
-        if ncut:
-            xnc = Xn.reshape(-1)[cut_idx]
-            np.subtract(uc + step, xnc, out=ucn)
+        if cuts.size:
+            np.add((1 - alpha) * E, X - Xn, out=En)
+            np.subtract((1 - alpha) * beta, alpha * lam, out=betan)
 
         if it % _CHECK_EVERY == 0:
-            # an off-diagonal cut entry stands for two matrix entries, so it
-            # counts twice in the Frobenius-norm residual
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
-            if ncut:
-                r2 += 2 * np.sum((V - xnc) ** 2)
+            if cuts.size:
+                # cut c's projected point is (X - E)[pairs_c] - (beta_c +
+                # lam_c) coef_c; an off-diagonal cut entry stands for two
+                # matrix entries, so it counts twice in the Frobenius norm
+                r2 += 2 * np.sum(cuts.entries(X - E - Xn, -(beta + lam)) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            resid = _residuals(model, Xn, sp.cut_table)[0]
+            resid = _residuals(model, Xn, cuts)[0]
             if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                     <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
                 obj = float(np.vdot(G, Xn))
-                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * ucn, G)
+                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * En, rho * betan, G)
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
             else:
                 # Farkas test: the multipliers' step, read as a dual point of
                 # the zero objective, proves infeasibility by a negative value;
-                # the margin, relative to the step, covers the rounding of the
-                # eigenvalue shift
-                delta = rho * (yb[n * n:] - xb[n * n:])
-                farkas = _dual_bound(sp, delta[: n * n].reshape(n, n), delta[n * n:], 0.0)
-                if farkas < -opts.tol_gap * float(np.linalg.norm(delta)):
+                # the margin, relative to the step (cut duals entry by entry),
+                # covers the rounding of the eigenvalue shift
+                d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
+                step = np.concatenate([d_el.reshape(-1), cuts.entries(d_E, d_beta)])
+                farkas = _dual_bound(sp, d_el, d_E, d_beta, 0.0)
+                if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
                     status = "infeasible"
                     break
 
-        if aa is not None and aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
+        if aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
             np.negative(U_el, out=U_psd)
-            if ncut:
-                U_psd -= sp.scatter(uc)
+            if cuts.size:
+                U_psd -= cuts.count * E + cuts.scatter(beta)
             continue
         x, y = y, x
 
     runtime = time.perf_counter() - t0
-    _, X, U_el, uc = last
+    _, X, U_el, E, beta = last
     if status != "optimal":
-        resid = _residuals(model, X, sp.cut_table)[0]
+        resid = _residuals(model, X, cuts)[0]
         obj = float(np.vdot(G, X))
         dual_bound = (None if status == "infeasible"
-                      else _dual_bound(sp, rho * U_el - G, rho * uc, G))
+                      else _dual_bound(sp, rho * U_el - G, rho * E, rho * beta, G))
     resid["primal"] = r
     resid["dual"] = s
 
@@ -523,12 +587,12 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         gap=None if dual_bound is None else dual_bound - obj,
         iterations=it,
         runtime=runtime,
-        info={"rho": rho, "aa_steps": 0 if aa is None else aa.steps,
-              "aa_rejected": 0 if aa is None else aa.rejected, "model": model.name},
+        info={"rho": rho, "aa_steps": aa.steps, "aa_rejected": aa.rejected,
+              "model": model.name},
     )
 
 
-def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float:
+def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
     """Assemble a dual feasible point from the block multipliers.
 
     For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
@@ -539,13 +603,15 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float
     bounds the objective by nu.d - <M,B> + sum mu_c b_c + t (sum(d) - n s)
     - s sum(S) (tr in place of sum(d) under a trace constraint).
     ``Y_el`` is the elementwise block's multiplier without the objective
-    (rho U_el - G) and ``Y_c`` the cut blocks' (rho UC, flat).  B is the
-    solver's floor: without one (none, or one the cone implies) M is zero
-    and the bound is that of the relaxation without B, whose optimum is the
-    same.  With ``G`` = 0 and the multipliers' step for ``Y_el`` and ``Y_c``,
-    a negative value is a Farkas certificate: no feasible Y exists.
+    (rho U_el - G), and cut c's block multiplier is Y_E[pairs_c] + Y_beta_c
+    coef_c (rho E and rho beta: the factored form ``solve`` keeps).  B is
+    the solver's floor: without one (none, or one the cone implies) M is
+    zero and the bound is that of the relaxation without B, whose optimum
+    is the same.  With ``G`` = 0 and the multipliers' step
+    for ``Y_el``, ``Y_E`` and ``Y_beta``, a negative value is a Farkas
+    certificate: no feasible Y exists.
     """
-    n = sp.n
+    n, cuts = sp.n, sp.cuts
     if sp.diag is not None:
         nu = -np.diag(Y_el)
         S = np.diag(nu) - G
@@ -565,15 +631,12 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_c: np.ndarray, G) -> float
         value -= float(M_hat @ sp.floor[off])
 
     # cut c is sum_p coef_p Y_p <= rhs with A_c holding coef_p / 2 at (i, j)
-    # and (j, i); its two-sided entries double the multiplier formula
-    if sp.cut_table:
-        MU = np.empty(sp.cut_idx.size)
-        for (_, IDX, COEF, RHS, NORMSQ), sl in zip(sp.cut_table, sp.cut_slices):
-            yc = Y_c[sl].reshape(IDX.shape)
-            mu = np.clip(-2.0 * np.einsum("ca,ca->c", yc, COEF) / NORMSQ, 0.0, None)
-            MU[sl] = (mu[:, None] * COEF).ravel()
-            value += float(mu @ RHS)
-        S += 0.5 * sp.scatter(MU)
+    # and (j, i); its two-sided entries double the multiplier formula, and
+    # coef_c . (E[pairs_c] + beta_c coef_c) = A(E)_c + beta_c |coef_c|^2
+    if cuts.size:
+        mu = np.clip(-2.0 * (cuts.apply(Y_E) / cuts.normsq + Y_beta), 0.0, None)
+        value += float(mu @ cuts.rhs)
+        S += 0.5 * cuts.scatter(mu)
 
     t = max(0.0, -float(np.linalg.eigvalsh(S)[0]))
     return value + t * (dsum - n * sp.shift) - sp.shift * float(S.sum())
@@ -606,7 +669,7 @@ def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> Certificati
         raise ValueError("solution matrix must be a finite n-by-n matrix")
     if np.max(np.abs(Y - Y.T)) > 1e-10:
         raise ValueError("solution matrix is not symmetric within 1e-10")
-    res, viol = _residuals(model, Y, _cut_table(model))
+    res, viol = _residuals(model, Y, _Cuts(model))
     bad = tuple(int(c) for c in np.flatnonzero(viol > tol))
     ok = dict(equality_ok=res["equality"] <= tol, cone_ok=res["cone_min_eig"] >= -tol,
               lower_ok=res["lower_violation"] <= tol, cuts_ok=not bad)
