@@ -111,7 +111,8 @@ _PENTAGON_TRI = 25.0 / 6.0  # printed as 4.16
 
 
 def _solver_work(sol) -> str:
-    return f"iterations={sol.iterations} aa_steps={sol.info['aa_steps']}"
+    return (f"iterations={sol.iterations} aa_steps={sol.info['aa_steps']} "
+            f"working_cuts={sol.info['working_cuts']}")
 
 
 def _solve_with_cuts(g, k, cuts):

@@ -43,14 +43,28 @@ matrix), so the consensus step reads the cut duals through that sum and
 scatters only the violated cuts' lam.  Per-entry duals are formed only at
 the checks, for the residuals and the Farkas margin.
 
+The loop carries only a working set of the cuts, after BiqMac (Rendl,
+Rinaldi & Wiegele 2010): the cuts the start point violates, then, at every
+25-iteration check, where ``_residuals`` evaluates every cut, each cut
+violated by more than ``tol_eq``; cuts never leave.  Cuts that never bind
+thus cost no work per iteration and do not slow the consensus averaging,
+which gives an entry read by many cut blocks a high degree.  The working
+operator slices the columns of the full one (``_Cuts.take``).  When the set
+grows, the plain step's X, U_el, E and the kept cuts' beta carry over; a new
+cut starts at beta = 0, with the dual E[pairs_c] of a block that was never
+active, U_psd is recovered from the block duals' sum and the Anderson
+history restarts.  The stop test, the Farkas test and the returned residuals
+read every cut, and a cut outside the working set enters the dual bound
+with multiplier 0, so a solve is certified against the whole model.
+
 The ADMM step x -> T(x) on the state x = (X, U_el, E, beta) is sped up by
 safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
 1e-10 times its trace, and a revert to the plain step, with the history
 cleared, whenever the accelerated point's fixed-point residual is larger
 than that of the point before it (or not finite).  Acceleration stops after
-500 reverts, and only then.  The history keeps the upper triangles of X and
-U_el, E at the cut entries and beta, so it is O(n^2 + #cuts), and every
-model is accelerated.
+500 reverts in the solve, and only then.  The history keeps the upper
+triangles of X and U_el, E at the working cuts' entries and beta, so it is
+O(n^2 + #cuts), and every model is accelerated.
 
 One residual routine, ``_residuals``, reads a matrix in the model's own
 coordinates: the solver's stop test runs it on the very matrix ``solve``
@@ -101,7 +115,8 @@ class SdpError(RuntimeError):
 @dataclass(frozen=True)
 class Cut:
     """Sparse linear inequality sum_p coeffs[p] * Y[i_p, j_p] <= rhs over
-    upper-triangle pairs (i < j)."""
+    distinct upper-triangle pairs (i < j), with finite coefficients, not all
+    zero, and a finite rhs."""
 
     pairs: tuple[tuple[int, int], ...]
     coeffs: tuple[float, ...]
@@ -115,6 +130,10 @@ class Cut:
         for i, j in self.pairs:
             if not 0 <= i < j:
                 raise ValueError(f"cut pair ({i},{j}) must satisfy 0 <= i < j")
+        if not (all(map(math.isfinite, self.coeffs)) and math.isfinite(self.rhs)):
+            raise ValueError("cut coeffs and rhs must be finite")
+        if not any(self.coeffs):
+            raise ValueError("cut coeffs must not all be zero")
 
     def value(self, Y: np.ndarray) -> float:
         return float(sum(c * Y[i, j] for (i, j), c in zip(self.pairs, self.coeffs)))
@@ -218,32 +237,51 @@ class _Cuts:
     so that applying a group reads one contiguous row per term.  Cuts are
     numbered in group order; ``order`` maps that numbering to
     ``model.cuts``.  ``count`` holds the number of cut entries at each matrix
-    entry, on both (i, j) and (j, i).
+    entry, on both (i, j) and (j, i).  ``_Cuts.of(model)`` builds the
+    operator of all the model's cuts, ``take`` that of some of them.
     """
 
-    def __init__(self, model: SdpModel):
-        n = self.n = model.n
-        arity = np.array([len(cut.pairs) for cut in model.cuts], dtype=np.int64)
-        self.order = np.argsort(arity, kind="stable")
-        cuts = [model.cuts[r] for r in self.order]
-        self.size = len(cuts)
+    def __init__(self, n: int, groups, rhs: np.ndarray, order: np.ndarray):
+        self.n, self.rhs, self.order, self.size = n, rhs, order, rhs.size
         self.groups, start = [], 0
-        for a, m in zip(*np.unique(arity, return_counts=True)):
-            grp = cuts[start:start + m]
-            P = np.fromiter(chain.from_iterable(chain.from_iterable(cut.pairs for cut in grp)),
-                            np.int64, count=2 * a * m).reshape(m, a, 2)
-            COEF = np.fromiter(chain.from_iterable(cut.coeffs for cut in grp), float,
-                               count=a * m).reshape(m, a)
-            self.groups.append((slice(start, start + m), (P[..., 0] * n + P[..., 1]).T.copy(),
-                                COEF.T.copy()))
+        for IDX, COEF in groups:
+            m = IDX.shape[1]
+            self.groups.append((slice(start, start + m), IDX, COEF))
             start += m
-        self.rhs = np.array([cut.rhs for cut in cuts], float)
         self.normsq = np.concatenate([np.zeros(0)] + [np.einsum("ac,ac->c", COEF, COEF)
                                                       for _, _, COEF in self.groups])
         T = np.bincount(np.concatenate([np.zeros(0, np.int64)]
                                        + [IDX.ravel() for _, IDX, _ in self.groups]),
                         minlength=n * n).reshape(n, n)
         self.count = T + T.T
+
+    @classmethod
+    def of(cls, model: SdpModel) -> _Cuts:
+        n = model.n
+        arity = np.array([len(cut.pairs) for cut in model.cuts], dtype=np.int64)
+        order = np.argsort(arity, kind="stable")
+        cuts = [model.cuts[r] for r in order]
+        groups, start = [], 0
+        for a, m in zip(*np.unique(arity, return_counts=True)):
+            grp = cuts[start:start + m]
+            P = np.fromiter(chain.from_iterable(chain.from_iterable(cut.pairs for cut in grp)),
+                            np.int64, count=2 * a * m).reshape(m, a, 2)
+            COEF = np.fromiter(chain.from_iterable(cut.coeffs for cut in grp), float,
+                               count=a * m).reshape(m, a)
+            groups.append(((P[..., 0] * n + P[..., 1]).T.copy(), COEF.T.copy()))
+            start += m
+        return cls(n, groups, np.array([cut.rhs for cut in cuts], float), order)
+
+    def take(self, sel: np.ndarray) -> _Cuts:
+        """The operator of the cuts ``sel``, ascending in this operator's
+        numbering, numbered in that order: each group's columns sliced."""
+        groups = []
+        for sl, IDX, COEF in self.groups:
+            lo, hi = np.searchsorted(sel, (sl.start, sl.stop))
+            if lo < hi:
+                cols = sel[lo:hi] - sl.start
+                groups.append((IDX[:, cols], COEF[:, cols]))
+        return _Cuts(self.n, groups, self.rhs[sel], self.order[sel])
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """A(M): every cut's value at M, read from M's upper triangle."""
@@ -279,7 +317,7 @@ def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts):
     """Model residuals of Y, in the model's own coordinates, and each cut's
     violation (value minus rhs) in ``model.cuts`` order.
 
-    Reads only the model and Y: ``cuts`` is ``_Cuts(model)``, which a caller
+    Reads only the model and Y: ``cuts`` is ``_Cuts.of(model)``, which a caller
     checking many matrices of one model builds once.
     """
     d = np.diagonal(Y)
@@ -333,14 +371,15 @@ class _SolverSpace:
             e = self.diag - self.shift
             if e.min() >= 0 and np.all(self.floor <= self.shift - np.sqrt(np.outer(e, e))):
                 self.floor = None
-        self.cuts = _Cuts(model)
+        self.cuts = _Cuts.of(model)
 
-    def state(self):
-        """A zeroed solver state (buffer, X, U_el, E, beta): the rest are
-        views of the flat buffer, the state vector being accelerated.  E and
-        beta factor the cut duals (see ``solve``); without cuts the buffer
-        holds neither, E being a zero matrix beside it and beta empty."""
-        n, nn, m = self.n, self.n * self.n, self.cuts.size
+    def state(self, m: int):
+        """A zeroed solver state (buffer, X, U_el, E, beta) for m working
+        cuts: the rest are views of the flat buffer, the state vector being
+        accelerated.  E and beta factor the cut duals (see ``solve``); without
+        cuts the buffer holds neither, E being a zero matrix beside it and
+        beta empty."""
+        n, nn = self.n, self.n * self.n
         buf = np.zeros(2 * nn + (nn + m if m else 0))
         X, U_el = buf[:nn].reshape(n, n), buf[nn:2 * nn].reshape(n, n)
         E = buf[2 * nn:3 * nn].reshape(n, n) if m else np.zeros((n, n))
@@ -354,15 +393,27 @@ class _Anderson:
     The history holds the last ``_AA_DEPTH`` differences of f = T(x) - x and
     of T(x) in ring buffers, with the Gram matrix of the f differences grown
     one row per iteration.  The state is symmetric, so the history keeps only
-    the upper triangles of X, U_el and E, of E only the entries some cut
-    reads: O(n^2 + #cuts).  With cuts, the metric weights E_ij by the square
-    root of the number of cuts reading it and beta_c by |coef_c|, so that it
-    follows the inner product of the per-entry cut duals; without cuts it is
-    the plain one on the upper triangles.
+    the upper triangles of X, U_el and E, of E only the entries some working
+    cut reads: O(n^2 + #cuts).  With cuts, the metric weights E_ij by the
+    square root of the number of cuts reading it and beta_c by |coef_c|, so
+    that it follows the inner product of the per-entry cut duals; without
+    cuts it is the plain one on the upper triangles.  The step counts run
+    over the whole solve; ``layout`` fits the history to a new working set.
     """
 
-    def __init__(self, sp: _SolverSpace):
-        n, nn, cuts = sp.n, sp.n * sp.n, sp.cuts
+    def __init__(self, n: int, cuts: _Cuts):
+        self.n = n
+        m = _AA_DEPTH
+        self.gram, self.eye = np.zeros((m, m)), np.eye(m)
+        self.sq = [0.0] * m  # the Gram diagonal
+        self.steps = self.rejected = 0
+        self.fn_base = np.inf
+        self.layout(cuts)
+
+    def layout(self, cuts: _Cuts):
+        """Pack the state of the working cuts ``cuts`` and start a new
+        history."""
+        n, nn = self.n, self.n * self.n
         iu, ju = np.triu_indices(n)
         up, lo = iu * n + ju, ju * n + iu
         # the packed vector: gathered matrix entries, then beta, a
@@ -379,12 +430,7 @@ class _Anderson:
                                           np.sqrt(cuts.count.reshape(-1)[pos]),
                                           np.sqrt(cuts.normsq)])
         size = self.pack.size + cuts.size
-        m = _AA_DEPTH
-        self.dF, self.dT = np.empty((m, size)), np.empty((m, size))
-        self.gram, self.eye = np.zeros((m, m)), np.eye(m)
-        self.sq = [0.0] * m  # the Gram diagonal
-        self.steps = self.rejected = 0
-        self.fn_base = np.inf
+        self.dF, self.dT = np.empty((_AA_DEPTH, size)), np.empty((_AA_DEPTH, size))
         self.clear()
 
     def clear(self):
@@ -455,6 +501,12 @@ class _Anderson:
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the model; see the module docstring for the scheme.
 
+    The loop carries a working set of the model's cuts: those the start
+    point violates, then, at each 25-iteration check, every cut whose
+    violation exceeds ``tol_eq``; cuts never leave it.  The checks read
+    every cut, so a solve is certified against all of them, and a cut
+    outside the working set enters the dual bound with multiplier 0.
+
     Status ``optimal`` means the certified test stopped the loop, and
     ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
     means a Farkas certificate stopped it; ``max_iter`` returns the last
@@ -462,8 +514,9 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     the next plain ADMM step starts, so it changes how soon a solve
     certifies, never what is certified.  The residuals also carry the ADMM
     ``primal`` and ``dual`` residuals of the last check; ``sol.info`` reports
-    the fixed penalty (``rho``) and counts the accepted (``aa_steps``) and
-    rejected (``aa_rejected``) accelerated steps.
+    the fixed penalty (``rho``), the final size of the working set
+    (``working_cuts``), and counts the accepted (``aa_steps``) and rejected
+    (``aa_rejected``) accelerated steps over the whole solve.
     """
     opts = options or SolverOptions()
     if model.n > opts.n_cap:
@@ -476,17 +529,20 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     g_rho = G / rho
     alpha = _ALPHA
 
-    deg = 2.0 + cuts.count
+    X0 = np.full((n, n), shift)
+    np.fill_diagonal(X0, 1.0)  # the barycentre (1 - s) I + s J
+    working = cuts.apply(X0) - cuts.rhs > opts.tol_eq  # in ``cuts``' numbering
+    wc = cuts.take(np.flatnonzero(working))
+    deg = 2.0 + wc.count
     # x is the iterate, y = T(x) the plain ADMM step from it; E and beta
-    # factor the cut duals (see the module docstring).  Every step keeps
-    # U_psd + U_el + count * E + scatter(beta) = 0, the block duals summed
-    # into a matrix, so the PSD block's scaled dual is not part of the state:
-    # plain steps carry it along, it is recovered from the sum whenever
-    # acceleration moves the state, and the consensus step reads the cut
-    # duals through it
-    x, y = sp.state(), sp.state()
-    x[1][...] = shift  # the barycentre (1 - s) I + s J
-    np.fill_diagonal(x[1], 1.0)
+    # factor the working cuts' duals (see the module docstring).  Every step
+    # keeps U_psd + U_el + count * E + scatter(beta) = 0, the block duals
+    # summed into a matrix, so the PSD block's scaled dual is not part of the
+    # state: plain steps carry it along, it is recovered from the sum
+    # whenever acceleration or a new working set moves the state, and the
+    # consensus step reads the cut duals through it
+    x, y = sp.state(wc.size), sp.state(wc.size)
+    x[1][...] = X0
     U_psd = np.zeros((n, n))
     last = x
 
@@ -500,7 +556,12 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             np.maximum(V, floor, out=V)
         return V
 
-    aa = _Anderson(sp)
+    def recover_u_psd(U_el, E, beta):
+        np.negative(U_el, out=U_psd)
+        if wc.size:
+            np.subtract(U_psd, wc.count * E + wc.scatter(beta), out=U_psd)
+
+    aa = _Anderson(n, wc)
 
     t0 = time.perf_counter()
     status = "max_iter"
@@ -519,33 +580,33 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
         U_sum = U_psd + U_el
         acc = alpha * (zn_psd + zn_el) + 2 * X_rel + U_sum
-        if cuts.size:
+        if wc.size:
             # cut c's block projects X[pairs_c] minus its dual onto its
             # halfspace, moving it by -lam_c coef_c
-            viol = cuts.apply(X - E) - beta * cuts.normsq - cuts.rhs
-            lam = np.maximum(viol, 0.0) / cuts.normsq
-            acc += cuts.count * X - (1 - alpha) * U_sum - alpha * cuts.scatter(lam)
+            viol = wc.apply(X - E) - beta * wc.normsq - wc.rhs
+            lam = np.maximum(viol, 0.0) / wc.normsq
+            acc += wc.count * X - (1 - alpha) * U_sum - alpha * wc.scatter(lam)
         np.divide(acc, deg, out=Xn)
         U_psd += alpha * zn_psd + X_rel - Xn
         np.subtract(alpha * zn_el + X_rel + U_el, Xn, out=U_eln)
-        if cuts.size:
+        if wc.size:
             np.add((1 - alpha) * E, X - Xn, out=En)
             np.subtract((1 - alpha) * beta, alpha * lam, out=betan)
 
         if it % _CHECK_EVERY == 0:
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
-            if cuts.size:
+            if wc.size:
                 # cut c's projected point is (X - E)[pairs_c] - (beta_c +
                 # lam_c) coef_c; an off-diagonal cut entry stands for two
                 # matrix entries, so it counts twice in the Frobenius norm
-                r2 += 2 * np.sum(cuts.entries(X - E - Xn, -(beta + lam)) ** 2)
+                r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + lam)) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            resid = _residuals(model, Xn, cuts)[0]
+            resid, cut_viol = _residuals(model, Xn, cuts)
             if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                     <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
                 obj = float(np.vdot(G, Xn))
-                dual_bound = _dual_bound(sp, rho * U_eln - G, rho * En, rho * betan, G)
+                dual_bound = _dual_bound(sp, wc, rho * U_eln - G, rho * En, rho * betan, G)
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
@@ -555,16 +616,30 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 # the margin, relative to the step (cut duals entry by entry),
                 # covers the rounding of the eigenvalue shift
                 d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
-                step = np.concatenate([d_el.reshape(-1), cuts.entries(d_E, d_beta)])
-                farkas = _dual_bound(sp, d_el, d_E, d_beta, 0.0)
+                step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])
+                farkas = _dual_bound(sp, wc, d_el, d_E, d_beta, 0.0)
                 if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
                     status = "infeasible"
                     break
+                new = (cut_viol[cuts.order] > opts.tol_eq) & ~working
+                if new.any():
+                    # the plain step carries over into the grown working set:
+                    # a new cut's dual starts at E[pairs_c] (beta_c = 0), the
+                    # dual of a block that was never active
+                    kept = ~new[working | new]
+                    working |= new
+                    wc = cuts.take(np.flatnonzero(working))
+                    deg = 2.0 + wc.count
+                    x, y = sp.state(wc.size), sp.state(wc.size)
+                    _, X, U_el, E, beta = last = x
+                    X[...], U_el[...], E[...] = Xn, U_eln, En
+                    beta[kept] = betan
+                    recover_u_psd(U_el, E, beta)
+                    aa.layout(wc)
+                    continue
 
         if aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
-            np.negative(U_el, out=U_psd)
-            if cuts.size:
-                U_psd -= cuts.count * E + cuts.scatter(beta)
+            recover_u_psd(U_el, E, beta)
             continue
         x, y = y, x
 
@@ -574,7 +649,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         resid = _residuals(model, X, cuts)[0]
         obj = float(np.vdot(G, X))
         dual_bound = (None if status == "infeasible"
-                      else _dual_bound(sp, rho * U_el - G, rho * E, rho * beta, G))
+                      else _dual_bound(sp, wc, rho * U_el - G, rho * E, rho * beta, G))
     resid["primal"] = r
     resid["dual"] = s
 
@@ -587,12 +662,12 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         gap=None if dual_bound is None else dual_bound - obj,
         iterations=it,
         runtime=runtime,
-        info={"rho": rho, "aa_steps": aa.steps, "aa_rejected": aa.rejected,
-              "model": model.name},
+        info={"rho": rho, "working_cuts": wc.size, "aa_steps": aa.steps,
+              "aa_rejected": aa.rejected, "model": model.name},
     )
 
 
-def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
+def _dual_bound(sp: _SolverSpace, cuts: _Cuts, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
     """Assemble a dual feasible point from the block multipliers.
 
     For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
@@ -603,15 +678,18 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
     bounds the objective by nu.d - <M,B> + sum mu_c b_c + t (sum(d) - n s)
     - s sum(S) (tr in place of sum(d) under a trace constraint).
     ``Y_el`` is the elementwise block's multiplier without the objective
-    (rho U_el - G), and cut c's block multiplier is Y_E[pairs_c] + Y_beta_c
-    coef_c (rho E and rho beta: the factored form ``solve`` keeps).  B is
-    the solver's floor: without one (none, or one the cone implies) M is
-    zero and the bound is that of the relaxation without B, whose optimum
-    is the same.  With ``G`` = 0 and the multipliers' step
-    for ``Y_el``, ``Y_E`` and ``Y_beta``, a negative value is a Farkas
+    (rho U_el - G), and cut c of ``cuts``, the working set, has block
+    multiplier Y_E[pairs_c] + Y_beta_c coef_c (rho E and rho beta: the
+    factored form ``solve`` keeps); every other cut enters with mu_c = 0.
+    The shift t adds n eps |S|_F to the computed -lambda_min(S), covering
+    its rounding, of the order of eps |S| for a backward-stable eigensolver.
+    B is the solver's floor: without one (none, or one the cone implies) M
+    is zero and the bound is that of the relaxation without B, whose
+    optimum is the same.  With ``G`` = 0 and the multipliers' step for
+    ``Y_el``, ``Y_E`` and ``Y_beta``, a negative value is a Farkas
     certificate: no feasible Y exists.
     """
-    n, cuts = sp.n, sp.cuts
+    n = sp.n
     if sp.diag is not None:
         nu = -np.diag(Y_el)
         S = np.diag(nu) - G
@@ -638,7 +716,8 @@ def _dual_bound(sp: _SolverSpace, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
         value += float(mu @ cuts.rhs)
         S += 0.5 * cuts.scatter(mu)
 
-    t = max(0.0, -float(np.linalg.eigvalsh(S)[0]))
+    eps = float(np.finfo(float).eps)
+    t = max(0.0, n * eps * float(np.linalg.norm(S)) - float(np.linalg.eigvalsh(S)[0]))
     return value + t * (dsum - n * sp.shift) - sp.shift * float(S.sum())
 
 
@@ -669,7 +748,7 @@ def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> Certificati
         raise ValueError("solution matrix must be a finite n-by-n matrix")
     if np.max(np.abs(Y - Y.T)) > 1e-10:
         raise ValueError("solution matrix is not symmetric within 1e-10")
-    res, viol = _residuals(model, Y, _Cuts(model))
+    res, viol = _residuals(model, Y, _Cuts.of(model))
     bad = tuple(int(c) for c in np.flatnonzero(viol > tol))
     ok = dict(equality_ok=res["equality"] <= tol, cone_ok=res["cone_min_eig"] >= -tol,
               lower_ok=res["lower_violation"] <= tol, cuts_ok=not bad)

@@ -16,6 +16,7 @@ from kcut.sdp import (
     SdpModel,
     SdpSolution,
     SolverOptions,
+    _Cuts,
     _SolverSpace,
     certify,
     dump_model,
@@ -58,6 +59,12 @@ def test_model_validation():
                  cuts=[Cut(pairs=((0, 5),), coeffs=(1.0,), rhs=1.0)])
     with pytest.raises(ValueError, match="0 <= i < j"):
         Cut(pairs=((2, 1),), coeffs=(1.0,), rhs=1.0)
+    # a cut with no nonzero coefficient has no halfspace to project onto
+    with pytest.raises(ValueError, match="all be zero"):
+        Cut(pairs=((0, 1),), coeffs=(0.0,), rhs=1.0)
+    for coeffs, rhs in (((1.0, math.nan), 1.0), ((math.inf, 1.0), 1.0), ((1.0, 1.0), -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Cut(pairs=((0, 1), (0, 2)), coeffs=coeffs, rhs=rhs)
 
 
 def test_eig_sdp_pentagon():
@@ -297,6 +304,68 @@ def test_cut_heavy_model_is_accelerated():
     assert sol.status == "optimal" and abs(sol.objective_value - 36.0) <= 1e-4
     assert sol.info["aa_steps"] > 0 and sol.iterations <= 600
     assert peak <= 7.3 * 2**20
+
+
+def test_working_set_certifies_against_every_cut():
+    # Coxeter with all 13,104 cuts iterates on the few hundred it violates
+    # along the way, and the returned matrix satisfies every one of them
+    model = build(named_graph("coxeter"), 2, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(triangle_cuts(28) + independent_set_cuts(28, 2))
+    sol = solve(model)
+    assert sol.status == "optimal" and abs(sol.objective_value - 36.0) <= 1e-4
+    assert certify(model, sol).passed
+    assert 0 < sol.info["working_cuts"] < len(model.cuts)
+
+
+def test_cut_violated_late_joins_the_working_set():
+    # Y[3,7] >= -0.3 holds at the start point and at the first check of
+    # perturbed_sdp k = 2 on the dominance corpus's eighth graph (-0.19),
+    # but not at the uncut optimum (-0.46): the cut joins at a later check,
+    # and the certified solve keeps it active
+    g = _dominance_corpus()[7]
+    uncut = solve(build(g, 2, RelaxationKind.PERTURBED_SDP))
+    model = build(g, 2, RelaxationKind.PERTURBED_SDP)
+    model.cuts.append(Cut(pairs=((3, 7),), coeffs=(-1.0,), rhs=0.3))
+    assert solve(model, SolverOptions(max_iter=25)).info["working_cuts"] == 0
+    sol = solve(model)
+    obj, opts = sol.objective_value, SolverOptions()
+    assert sol.status == "optimal" and sol.info["working_cuts"] == 1
+    assert certify(model, sol).passed
+    assert sol.dual_bound >= obj - opts.tol_gap * (1 + abs(obj))
+    assert obj < uncut.objective_value - 1e-3
+
+
+def test_working_operator_slices_the_full_one():
+    # cuts of arities 6, 3 and 1, numbered by arity; a subset spanning two of
+    # the three groups
+    model = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(independent_set_cuts(10, 3)[:4] + triangle_cuts(10)[:5]
+                      + [Cut(pairs=((1, 4),), coeffs=(2.0,), rhs=0.5)])
+    full = _Cuts.of(model)
+    sel = np.array([1, 2, 9])
+    part = full.take(sel)
+    M = np.random.default_rng(0).random((10, 10))
+    v = np.array([0.5, -1.0, 2.0])
+    w = np.zeros(full.size)
+    w[sel] = v
+    assert [IDX.shape for _, IDX, _ in part.groups] == [(3, 2), (6, 1)]
+    assert np.array_equal(part.apply(M), full.apply(M)[sel])
+    assert np.array_equal(part.normsq, full.normsq[sel])
+    assert np.array_equal(part.order, full.order[sel])
+    assert np.allclose(part.scatter(v), full.scatter(w), rtol=0, atol=1e-15)
+    assert part.count.sum() == 2 * (3 + 3 + 6)
+
+
+def test_edgeless_dual_bounds_are_nonnegative():
+    # every relaxation of an edgeless graph has optimum 0; the dual bound's
+    # eigenvalue shift must cover its own rounding (bounds as low as -3.9e-34
+    # read without the margin)
+    for n in range(3, 16):
+        g = Graph(n=n, weights=np.zeros((n, n)), name="empty")
+        for k in range(2, min(5, n) + 1):
+            for kind in RelaxationKind:
+                sol = solve(build(g, k, kind))
+                assert sol.status == "optimal" and sol.dual_bound >= 0.0, (n, k, kind)
 
 
 def test_cut_groups_and_scaled_duplicates():
