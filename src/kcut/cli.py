@@ -6,15 +6,12 @@ can emit JSON (--json) with stable keys (graph, k, method, value, residuals,
 runtime_ms).  For the SDP methods of ``bound`` the value is the solve's
 certified dual bound, and the JSON adds dual_bound (the same number),
 objective (the attained primal value) and iterations.
-The KCUT_THREADS environment variable caps BLAS-level parallelism; heavy
-imports happen after it is applied, so it takes effect for the whole run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -27,18 +24,6 @@ _METHODS = (
     "eig", "perturbed", "sdp", "sdp+triangles", "sdp+indep",
     "chromatic", "hoffman", "srg",
 )
-
-
-def _apply_thread_cap():
-    t = os.environ.get("KCUT_THREADS")
-    if t:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, t)
 
 
 class CliError(Exception):
@@ -386,7 +371,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

@@ -1,6 +1,10 @@
 """Builders mapping a (graph, k) pair to each semidefinite relaxation of the
 max-k-cut, plus generation and separation of triangle and independent-set
-inequalities and a cutting-plane loop on top of the solver.
+inequalities and a cutting-plane loop on top of the solver.  Both families
+are generated whole and refused above INDEP_SET_CAP cuts.  The loop makes at
+most two solves, the base relaxation and, if its optimum violates a
+requested family, the base plus every inequality of those families: the
+solver's working set of violated cuts does the separation.
 
 The four relaxations (Y is n-by-n symmetric, L the Laplacian, J all-ones):
 
@@ -94,9 +98,15 @@ def _clique(Q: tuple[int, ...]) -> Cut:
 
 def triangle_cuts(n: int) -> list[Cut]:
     """All 3 C(n,3) inequalities y_ij + y_ik <= 1 + y_jk: each unordered
-    triple contributes one cut per choice of the apex i."""
+    triple contributes one cut per choice of the apex i.  Refuses above
+    INDEP_SET_CAP cuts, before building any."""
     if n < 3:
         raise ValueError("triangle cuts need n >= 3")
+    count = 3 * math.comb(n, 3)
+    if count > INDEP_SET_CAP:
+        raise CapExceeded(
+            f"3 C({n},3) = {count} triangle cuts exceed the cap {INDEP_SET_CAP}"
+        )
     cuts = []
     for a, b, c in itertools.combinations(range(n), 3):
         cuts += (_triangle(a, b, c), _triangle(b, a, c), _triangle(c, a, b))
@@ -139,16 +149,19 @@ def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> list[Cut]:
     return [_clique(Q) for Q in itertools.combinations(range(n), k + 1)]
 
 
-def _separate_independent_sets(Y, n, k, violation_tol, max_cuts, cap):
-    viol = []
-    if math.comb(n, k + 1) > cap:
+def _separate_independent_sets(Y: np.ndarray, k: int, violation_tol: float) -> list[Cut]:
+    """The independent-set inequalities violated at Y by more than
+    ``violation_tol``, sorted by violation (descending), then by Q."""
+    n = Y.shape[0]
+    if math.comb(n, k + 1) > INDEP_SET_CAP:
         raise CapExceeded("independent-set separation above the enumeration cap")
+    viol = []
     for Q in itertools.combinations(range(n), k + 1):
         s = sum(Y[a, b] for a, b in itertools.combinations(Q, 2))
         if 1.0 - s > violation_tol:
             viol.append((1.0 - s, Q))
     viol.sort(key=lambda t: (-t[0], t[1]))
-    return [_clique(Q) for _, Q in viol[:max_cuts]]
+    return [_clique(Q) for _, Q in viol]
 
 
 def cutting_plane_loop(
@@ -156,17 +169,17 @@ def cutting_plane_loop(
     k: int,
     base: RelaxationKind | str = RelaxationKind.MAIN_SDP,
     families: tuple[str, ...] = ("triangles",),
-    rounds: int = 20,
-    max_cuts: int = 2000,
-    violation_tol: float = 1e-5,
     options: SolverOptions | None = None,
 ) -> SdpSolution:
-    """Solve ``base``, then repeatedly add the most violated inequalities
-    from the requested families ("triangles", "independent_sets") and
-    re-solve, until separation finds nothing or ``rounds`` are exhausted.
+    """Solve ``base``; if its optimum violates an inequality of the
+    requested families ("triangles", "independent_sets") by more than
+    ``tol_eq``, solve once more with every inequality of those families.
 
-    The returned solution's info dict carries the final cut count, each
-    round's objective (``round_objectives``, nonincreasing across rounds) and
+    The second solve's working set does the separation: it carries only the
+    cuts its iterates violate and certifies against all of them, so an
+    ``optimal`` result satisfies every inequality of the families.  The
+    returned solution's info dict carries the final cut count, each round's
+    objective (``round_objectives``, one or two entries, nonincreasing) and
     each round's certified upper bound (``round_dual_bounds``, the solve's
     ``dual_bound``; None for a round that ended infeasible).
     """
@@ -176,23 +189,15 @@ def cutting_plane_loop(
     model = build(g, k, base)
     sol = solve(model, options)
     history, bounds = [sol.objective_value], [sol.dual_bound]
-    seen: set[Cut] = set()
-    for _ in range(rounds):
-        new: list[Cut] = []
-        if "triangles" in families:
-            new += separate_triangles(sol.Y, max_cuts, violation_tol)
-        if "independent_sets" in families:
-            new += _separate_independent_sets(
-                sol.Y, g.n, k, violation_tol, max_cuts, INDEP_SET_CAP
-            )
-        fresh = []
-        for cut in new:
-            if cut not in seen:
-                seen.add(cut)
-                fresh.append(cut)
-        if not fresh:
-            break
-        model.cuts.extend(fresh[:max_cuts])
+    tol = (options or SolverOptions()).tol_eq
+    tri = "triangles" in families
+    ind = "independent_sets" in families
+    if ((tri and separate_triangles(sol.Y, 1, tol))
+            or (ind and _separate_independent_sets(sol.Y, k, tol))):
+        if tri:
+            model.cuts.extend(triangle_cuts(g.n))
+        if ind and k < g.n:  # at k = n there is no (k+1)-subset
+            model.cuts.extend(independent_set_cuts(g.n, k))
         sol = solve(model, options)
         history.append(sol.objective_value)
         bounds.append(sol.dual_bound)

@@ -239,6 +239,8 @@ class _Cuts:
     ``model.cuts``.  ``count`` holds the number of cut entries at each matrix
     entry, on both (i, j) and (j, i).  ``_Cuts.of(model)`` builds the
     operator of all the model's cuts, ``take`` that of some of them.
+    ``of`` checks every pair index against n, since cuts appended to
+    ``model.cuts`` after construction skip the model's own check.
     """
 
     def __init__(self, n: int, groups, rhs: np.ndarray, order: np.ndarray):
@@ -266,6 +268,8 @@ class _Cuts:
             grp = cuts[start:start + m]
             P = np.fromiter(chain.from_iterable(chain.from_iterable(cut.pairs for cut in grp)),
                             np.int64, count=2 * a * m).reshape(m, a, 2)
+            if P[..., 1].max() >= n:
+                raise ValueError(f"cut pair index {P[..., 1].max()} out of range for n={n}")
             COEF = np.fromiter(chain.from_iterable(cut.coeffs for cut in grp), float,
                                count=a * m).reshape(m, a)
             groups.append(((P[..., 0] * n + P[..., 1]).T.copy(), COEF.T.copy()))

@@ -127,7 +127,10 @@ def test_exit_code_k_out_of_range(tmp_path, capsys, argv):
     ({"cap.cfg": "n_cap = 2\n"}, ("bound", "--family", "cycle", "5", "--k", "2",
                                   "--method", "sdp", "--config", "cap.cfg"), EXIT_CAP),
     ({}, ("exact", "--family", "hamming", "4", "3", "1", "--k", "3"), EXIT_CAP),
-], ids=["empty", "header_0_1", "n1_k2", "edgeless_sdp", "config_n_cap", "exact_over_cap"])
+    ({}, ("bound", "--family", "complete", "127", "--k", "2",
+          "--method", "sdp+triangles"), EXIT_CAP),
+], ids=["empty", "header_0_1", "n1_k2", "edgeless_sdp", "config_n_cap", "exact_over_cap",
+        "triangles_over_cap"])
 def test_failure_contract(tmp_path, capsys, files, argv, want):
     # each input maps to its exit code; a failure prints exactly one error
     # line, so no traceback (an escaping exception fails the test)
@@ -225,19 +228,6 @@ def test_reproduce_only_pentagon(capsys):
 
     code, _, err = run_cli(capsys, "reproduce", "--only", "nonsense")
     assert code == EXIT_PARSE
-
-
-def test_thread_cap_env(monkeypatch):
-    from kcut.cli import _apply_thread_cap
-
-    monkeypatch.setenv("KCUT_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    _apply_thread_cap()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_reproduce_json(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from kcut.acceptance import _dominance_corpus
 from kcut.errors import CapExceeded
 from kcut.graphs import named_graph
 from kcut.relaxations import (
@@ -14,7 +15,7 @@ from kcut.relaxations import (
     separate_triangles,
     triangle_cuts,
 )
-from kcut.sdp import SolverOptions, solve
+from kcut.sdp import SolverOptions, certify, solve
 from kcut.spectra import lambda_max
 
 
@@ -48,6 +49,9 @@ def test_triangle_cut_counts():
     assert len(triangle_cuts(28)) == 9828
     cut = triangle_cuts(3)[0]
     assert cut.rhs == 1.0 and cut.coeffs == (1.0, 1.0, -1.0)
+    # 3 C(127,3) = 1,000,125 cuts exceed the cap shared with independent sets
+    with pytest.raises(CapExceeded):
+        triangle_cuts(127)
 
 
 def test_separate_triangles():
@@ -98,6 +102,39 @@ def test_cutting_plane_loop_reports_round_dual_bounds():
     obj, tol = sol.objective_value, SolverOptions().tol_gap
     assert all(b >= obj - tol * (1 + abs(obj)) for b in bounds)
     assert bounds[-1] == sol.dual_bound
+
+
+def _family_model(g, k, families):
+    model = build(g, k, RelaxationKind.MAIN_SDP)
+    if "triangles" in families:
+        model.cuts.extend(triangle_cuts(g.n))
+    if "independent_sets" in families:
+        model.cuts.extend(independent_set_cuts(g.n, k))
+    return model
+
+
+def test_cutting_plane_loop_certifies_against_whole_families():
+    cases = [(g, ("triangles",)) for g in _dominance_corpus()[:8]]
+    cases.append((named_graph("cycle", (5,)), ("triangles", "independent_sets")))
+    tol = SolverOptions().tol_eq
+    for g, families in cases:
+        sol = cutting_plane_loop(g, 2, families=families)
+        assert sol.status == "optimal"
+        rep = certify(_family_model(g, 2, families), sol, tol)
+        assert rep.passed, (g.name, rep)
+
+
+def test_cutting_plane_loop_round_count():
+    # Petersen's main_sdp optimum at k = 2 satisfies every triangle
+    sol = cutting_plane_loop(named_graph("petersen"), 2, families=("triangles",))
+    assert len(sol.info["round_objectives"]) == 1 and sol.info["num_cuts"] == 0
+
+    g = named_graph("cycle", (5,))
+    sol = cutting_plane_loop(g, 2, families=("triangles", "independent_sets"))
+    base = solve(build(g, 2, RelaxationKind.MAIN_SDP))
+    objs = sol.info["round_objectives"]
+    assert len(objs) == 2 and objs[0] == base.objective_value
+    assert sol.info["num_cuts"] == 30 + 10
 
 
 def test_main_equals_frieze_jerrum(rng):

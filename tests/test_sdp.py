@@ -67,6 +67,17 @@ def test_model_validation():
             Cut(pairs=((0, 1), (0, 2)), coeffs=coeffs, rhs=rhs)
 
 
+def test_appended_cut_out_of_range_is_rejected():
+    # cuts appended after construction skip SdpModel's own index check;
+    # flat position 0 * 5 + 5 would read Y[1, 0]
+    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    model.cuts.append(Cut(pairs=((0, 5),), coeffs=(1.0,), rhs=-0.3))
+    with pytest.raises(ValueError, match="out of range"):
+        solve(model)
+    with pytest.raises(ValueError, match="out of range"):
+        certify(model, SdpSolution.from_matrix(model, np.eye(5)))
+
+
 def test_eig_sdp_pentagon():
     g = named_graph("cycle", (5,))
     sol = solve(build(g, 2, RelaxationKind.EIG_SDP))
