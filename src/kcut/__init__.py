@@ -53,6 +53,7 @@ from .relaxations import (
 from .sdp import (
     CertificationReport,
     Cut,
+    CutList,
     SdpModel,
     SdpSolution,
     SolverOptions,

@@ -62,17 +62,6 @@ def enumeration_states(n: int, k: int) -> int:
     return sum(_stirling2(n, j) for j in range(1, min(k, n) + 1))
 
 
-def _canonicalize(assignment: np.ndarray, k: int) -> Partition:
-    # relabel parts in order of first appearance (vertex 0 -> part 0)
-    relabel: dict[int, int] = {}
-    out = np.empty_like(assignment)
-    for idx, a in enumerate(assignment):
-        if int(a) not in relabel:
-            relabel[int(a)] = len(relabel)
-        out[idx] = relabel[int(a)]
-    return Partition(assignment=out, k=k)
-
-
 def _half(W: np.ndarray, parts: int, kmax: int):
     """Labelings of the vertices of ``W`` that extend a labeling already using
     ``parts`` parts: each vertex joins a part used so far or opens the next
@@ -195,28 +184,46 @@ def hyperplane_round(
     not depend on the basis ``eigh`` picks inside a repeated eigenvalue.
     Each trial draws k standard-normal n-vectors (PCG64 stream seeded with
     seed + t) and assigns every vertex to the argmax inner product with its
-    column of V.  The best cut over all trials is returned; same seed, same
-    partition.
+    column of V.  The trial of greatest cut weight is returned, the first
+    one on a tie, with its parts numbered in order of first appearance
+    (vertex 0 in part 0): same seed, same partition.  A Y that is not a
+    finite g.n-by-g.n matrix, k < 1 or trials < 1 raise ValueError.
+
+    All trials are scored and weighed together: one product gives every
+    trial's weight up to rounding, and ``cut_weight`` settles the trials
+    within rounding of the best, so ties fall as its sum has them.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    n, W = g.n, g.weights
     Y = np.asarray(sol.Y, dtype=float)
+    if Y.shape != (n, n):
+        raise ValueError(f"Y must be {n}-by-{n} for this graph, got shape {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
     w, Q = np.linalg.eigh((Y + Y.T) / 2.0)
     w = np.clip(w, 0.0, None)
     V = (Q * np.sqrt(w)) @ Q.T  # columns V[:, v] give vertex vectors
-    best_val = -1.0
-    best_part: Partition | None = None
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(seed + t))
-        R = rng.standard_normal((k, g.n))
-        scores = R @ V
-        assignment = np.argmax(scores, axis=0)
-        part = _canonicalize(assignment, k)
-        val = cut_weight(g, part)
-        if val > best_val:
-            best_val = val
-            best_part = part
-    return best_part, best_val
+    R = np.stack([np.random.Generator(np.random.PCG64(seed + t)).standard_normal((k, n))
+                  for t in range(trials)])
+    labels = np.argmax(R @ V, axis=1)  # (trials, n)
+    # column (t, p) of X marks the vertices trial t puts in part p; the cut
+    # is the total weight less the weight inside the parts
+    X = (labels[:, :, None] == np.arange(k)).transpose(1, 0, 2).reshape(n, -1).astype(float)
+    approx = (W.sum() - np.einsum("vc,vc->c", W @ X, X).reshape(trials, k).sum(axis=1)) / 2
+    # the product's weight and cut_weight's masked sum each round nonnegative
+    # terms, at most n^2 + nk deep, so each lies within B = (n^2 + nk) eps
+    # W.sum() of the true weight: the trial cut_weight ranks first lies
+    # within 4B of the best product weight
+    slack = 4 * (n * n + n * k) * np.finfo(float).eps * W.sum()
+    near = np.flatnonzero(approx >= approx.max() - slack)
+    vals = [cut_weight(g, Partition(assignment=a, k=k)) for a in labels[near]]
+    best = int(np.argmax(vals))
+    # parts renumbered in order of first appearance
+    _, first, inv = np.unique(labels[near[best]], return_index=True, return_inverse=True)
+    return Partition(assignment=np.argsort(np.argsort(first))[inv], k=k), vals[best]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Builders mapping a (graph, k) pair to each semidefinite relaxation of the
 max-k-cut, plus generation and separation of triangle and independent-set
 inequalities and a cutting-plane loop on top of the solver.  Both families
-are generated whole and refused above INDEP_SET_CAP cuts.  The loop makes at
-most two solves, the base relaxation and, if its optimum violates a
-requested family, the base plus every inequality of those families: the
-solver's working set of violated cuts does the separation.
+are generated whole, as one block of arrays in a CutList (a pair template
+indexing the lexicographic vertex subsets, no per-cut objects), and refused
+above INDEP_SET_CAP cuts before any is built.  The loop makes at most two
+solves, the base relaxation and, if its optimum violates a requested
+family, the base plus every inequality of those families: the solver's
+working set of violated cuts does the separation.
 
 The four relaxations (Y is n-by-n symmetric, L the Laplacian, J all-ones):
 
@@ -21,14 +23,14 @@ best diagonal perturbation of the eigenvalue bound.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import CapExceeded
 from .graphs import Graph, laplacian
-from .sdp import Cut, SdpModel, SdpSolution, SolverOptions, solve
+from .sdp import Cut, CutList, SdpModel, SdpSolution, SolverOptions, _Cuts, solve
 
 __all__ = [
     "RelaxationKind",
@@ -80,26 +82,31 @@ def build(g: Graph, k: int, kind: RelaxationKind | str) -> SdpModel:
     )
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+def _subsets(n: int, r: int) -> np.ndarray:
+    """The r-subsets of range(n) as rows, in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(n), r))
+    return np.fromiter(flat, np.int64, count=r * math.comb(n, r)).reshape(-1, r)
 
 
-def _triangle(i: int, j: int, k: int) -> Cut:
-    """The triangle inequality y_ij + y_ik <= 1 + y_jk with apex i."""
-    return Cut(pairs=(_pair(i, j), _pair(i, k), _pair(j, k)),
-               coeffs=(1.0, 1.0, -1.0), rhs=1.0)
+# the triangle inequality with apex a, b or c of a sorted triple (a, b, c):
+# y_ab + y_ac <= 1 + y_bc, y_ab + y_bc <= 1 + y_ac, y_ac + y_bc <= 1 + y_ab,
+# its three pairs given by their positions in the triple
+_APEX_PAIRS = np.array([[[0, 1], [0, 2], [1, 2]],
+                        [[0, 1], [1, 2], [0, 2]],
+                        [[0, 2], [1, 2], [0, 1]]])
 
 
-def _clique(Q: tuple[int, ...]) -> Cut:
-    """The inequality sum_{i<j in Q} y_ij >= 1 on the sorted vertex set Q."""
-    pairs = tuple(itertools.combinations(Q, 2))
-    return Cut(pairs=pairs, coeffs=(-1.0,) * len(pairs), rhs=-1.0)
+def _triangles(P: np.ndarray) -> CutList:
+    """The triangle inequalities with pairs P (m, 3, 2), the last one the
+    pair opposite the apex."""
+    return CutList.from_arrays(P, np.full((len(P), 3), [1.0, 1.0, -1.0]), np.ones(len(P)))
 
 
-def triangle_cuts(n: int) -> list[Cut]:
+def triangle_cuts(n: int) -> CutList:
     """All 3 C(n,3) inequalities y_ij + y_ik <= 1 + y_jk: each unordered
-    triple contributes one cut per choice of the apex i.  Refuses above
-    INDEP_SET_CAP cuts, before building any."""
+    triple a < b < c, in lexicographic order, contributes the cuts with apex
+    a, b and c in turn.  Refuses above INDEP_SET_CAP cuts, before building
+    any."""
     if n < 3:
         raise ValueError("triangle cuts need n >= 3")
     count = 3 * math.comb(n, 3)
@@ -107,38 +114,37 @@ def triangle_cuts(n: int) -> list[Cut]:
         raise CapExceeded(
             f"3 C({n},3) = {count} triangle cuts exceed the cap {INDEP_SET_CAP}"
         )
-    cuts = []
-    for a, b, c in itertools.combinations(range(n), 3):
-        cuts += (_triangle(a, b, c), _triangle(b, a, c), _triangle(c, a, b))
-    return cuts
+    return _triangles(_subsets(n, 3)[:, _APEX_PAIRS].reshape(-1, 3, 2))
 
 
 def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
                        violation_tol: float = 1e-5) -> list[Cut]:
     """The most violated triangle inequalities at Y, sorted by violation
-    (descending), ties broken lexicographically by (apex, j, k)."""
+    (descending), ties broken lexicographically by (apex, j, k).
+
+    One apex at a time, keeping the best ``max_cuts`` so far: O(n^2 +
+    max_cuts) memory."""
     n = Y.shape[0]
-    if n < 3:
-        return []
-    # violation of apex i over pair (j,k): y_ij + y_ik - y_jk - 1
-    V = Y[:, :, None] + Y[:, None, :] - Y[None, :, :] - 1.0
-    found = []
     jj, kk = np.triu_indices(n, 1)
+    y_jk = Y[jj, kk]
+    best = np.zeros((4, 0))  # rows: violation, apex i, j, k
     for i in range(n):
-        vi = V[i, jj, kk]
-        mask = vi > violation_tol
-        for idx in np.nonzero(mask)[0]:
-            j, k2 = int(jj[idx]), int(kk[idx])
-            if i == j or i == k2:
-                continue
-            found.append((float(vi[idx]), (i, j, k2)))
-    found.sort(key=lambda t: (-t[0], t[1]))
-    return [_triangle(*ijk) for _, ijk in found[:max_cuts]]
+        # violation of apex i over pair (j, k): y_ij + y_ik - y_jk - 1
+        v = Y[i, jj] + Y[i, kk] - y_jk - 1.0
+        hit = np.flatnonzero((v > violation_tol) & (jj != i) & (kk != i))
+        if hit.size:
+            best = np.hstack([best, [v[hit], np.full(hit.size, i), jj[hit], kk[hit]]])
+            best = best[:, np.lexsort((best[3], best[2], best[1], -best[0]))[:max_cuts]]
+    i, j, k = ijk = best[1:].astype(np.int64)
+    apex = np.add(i > j, i > k, dtype=np.int64)  # the position of i in its triple
+    T = np.sort(ijk.T, axis=1)
+    return list(_triangles(T[np.arange(len(T))[:, None, None], _APEX_PAIRS[apex]]))
 
 
-def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> list[Cut]:
-    """One inequality sum_{i<j in Q} y_ij >= 1 per (k+1)-subset Q, forbidding
-    k+1 pairwise-separated vertices.  Exhaustive; refuses above the cap."""
+def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> CutList:
+    """One inequality sum_{i<j in Q} y_ij >= 1 per (k+1)-subset Q, in
+    lexicographic order, forbidding k+1 pairwise-separated vertices.
+    Exhaustive; refuses above the cap, before building any."""
     if k + 1 > n:
         raise ValueError("independent-set cuts need k + 1 <= n")
     count = math.comb(n, k + 1)
@@ -146,22 +152,8 @@ def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> list[Cut]:
         raise CapExceeded(
             f"C({n},{k + 1}) = {count} independent-set cuts exceed the cap {cap}"
         )
-    return [_clique(Q) for Q in itertools.combinations(range(n), k + 1)]
-
-
-def _separate_independent_sets(Y: np.ndarray, k: int, violation_tol: float) -> list[Cut]:
-    """The independent-set inequalities violated at Y by more than
-    ``violation_tol``, sorted by violation (descending), then by Q."""
-    n = Y.shape[0]
-    if math.comb(n, k + 1) > INDEP_SET_CAP:
-        raise CapExceeded("independent-set separation above the enumeration cap")
-    viol = []
-    for Q in itertools.combinations(range(n), k + 1):
-        s = sum(Y[a, b] for a, b in itertools.combinations(Q, 2))
-        if 1.0 - s > violation_tol:
-            viol.append((1.0 - s, Q))
-    viol.sort(key=lambda t: (-t[0], t[1]))
-    return [_clique(Q) for _, Q in viol]
+    P = _subsets(n, k + 1)[:, list(combinations(range(k + 1), 2))]  # Q's pairs, in order
+    return CutList.from_arrays(P, np.full(P.shape[:2], -1.0), np.full(count, -1.0))
 
 
 def cutting_plane_loop(
@@ -175,6 +167,8 @@ def cutting_plane_loop(
     requested families ("triangles", "independent_sets") by more than
     ``tol_eq``, solve once more with every inequality of those families.
 
+    The families are built first, so one above its cap refuses before any
+    solve; one application of their operator at the base optimum decides.
     The second solve's working set does the separation: it carries only the
     cuts its iterates violate and certifies against all of them, so an
     ``optimal`` result satisfies every inequality of the families.  The
@@ -187,17 +181,16 @@ def cutting_plane_loop(
         if fam not in ("triangles", "independent_sets"):
             raise ValueError(f"unknown cut family {fam!r}")
     model = build(g, k, base)
+    cuts = CutList()
+    if "triangles" in families and g.n >= 3:
+        cuts.extend(triangle_cuts(g.n))
+    if "independent_sets" in families and k < g.n:  # at k = n no (k+1)-subset
+        cuts.extend(independent_set_cuts(g.n, k))
     sol = solve(model, options)
     history, bounds = [sol.objective_value], [sol.dual_bound]
-    tol = (options or SolverOptions()).tol_eq
-    tri = "triangles" in families
-    ind = "independent_sets" in families
-    if ((tri and separate_triangles(sol.Y, 1, tol))
-            or (ind and _separate_independent_sets(sol.Y, k, tol))):
-        if tri:
-            model.cuts.extend(triangle_cuts(g.n))
-        if ind and k < g.n:  # at k = n there is no (k+1)-subset
-            model.cuts.extend(independent_set_cuts(g.n, k))
+    op = _Cuts.of(g.n, cuts)
+    if np.any(op.apply(sol.Y) - op.rhs > (options or SolverOptions()).tol_eq):
+        model.cuts.extend(cuts)
         sol = solve(model, options)
         history.append(sol.objective_value)
         bounds.append(sol.dual_bound)

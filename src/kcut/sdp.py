@@ -4,7 +4,10 @@ The model class is deliberately narrow: maximize a scaled trace objective
 subject to a diagonal or trace equality, a PSD or shifted-PSD cone
 constraint, an optional elementwise lower bound, and optional sparse linear
 cuts.  That covers every relaxation in this package while keeping the solver
-self-contained.
+self-contained.  The cuts are a ``CutList``: a generated family is one block
+of arrays, validated once, and the solver's cut operator (``_Cuts``) is
+built by concatenating the blocks' arrays, reading ``Cut`` objects only for
+cuts added one at a time.
 
 Algorithm: operator splitting in consensus form, in the model's own
 coordinates.  Both cones are Y - s J >= 0, with the scalar shift s = 1/k for
@@ -88,8 +91,9 @@ from __future__ import annotations
 import io
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import combinations
 
 import numpy as np
 
@@ -97,6 +101,7 @@ from .errors import CapExceeded
 
 __all__ = [
     "Cut",
+    "CutList",
     "SdpModel",
     "SolverOptions",
     "SdpSolution",
@@ -139,6 +144,157 @@ class Cut:
         return float(sum(c * Y[i, j] for (i, j), c in zip(self.pairs, self.coeffs)))
 
 
+class _CutBlock:
+    """m cuts of one arity a as read-only arrays: ``pairs`` (m, a, 2),
+    ``coeffs`` (m, a) and ``rhs`` (m,)."""
+
+    __slots__ = ("pairs", "coeffs", "rhs")
+
+    def __init__(self, pairs: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray):
+        self.pairs, self.coeffs, self.rhs = pairs.view(), coeffs.view(), rhs.view()
+        for a in (self.pairs, self.coeffs, self.rhs):
+            a.setflags(write=False)
+
+    @classmethod
+    def of_cuts(cls, cuts: list[Cut]) -> _CutBlock:
+        return cls(np.array([c.pairs for c in cuts], np.int64),
+                   np.array([c.coeffs for c in cuts], float),
+                   np.array([c.rhs for c in cuts], float))
+
+    def __len__(self) -> int:
+        return self.rhs.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _CutBlock(self.pairs[index], self.coeffs[index], self.rhs[index])
+        return Cut(pairs=tuple(map(tuple, self.pairs[index].tolist())),
+                   coeffs=tuple(self.coeffs[index].tolist()), rhs=float(self.rhs[index]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+class CutList(Sequence):
+    """A sequence of cuts kept as blocks of arrays, so that a generated
+    family of a million cuts is a few arrays rather than a million objects.
+
+    ``from_arrays`` makes one block out of a whole family, validated once
+    with the checks ``Cut`` makes one cut at a time.  ``append`` and
+    ``extend`` take single ``Cut`` objects, kept as they are in runs of one
+    arity; ``extend`` with another CutList shares its blocks.  Indexing and
+    iteration yield ``Cut`` objects, slicing and ``+`` give CutLists, and a
+    CutList equals any list or CutList holding the same cuts in the same
+    order.  ``blocks`` reads the cuts back as arrays, block by block.
+    """
+
+    def __init__(self, cuts=()):
+        self._parts: list[_CutBlock | list[Cut]] = []
+        self._len = 0
+        self.extend(cuts)
+
+    @classmethod
+    def from_arrays(cls, pairs, coeffs, rhs) -> CutList:
+        """The m cuts sum_p coeffs[c, p] Y[pairs[c, p]] <= rhs[c], from
+        ``pairs`` (m, a, 2), ``coeffs`` (m, a) and ``rhs`` (m,)."""
+        P = np.asarray(pairs, dtype=np.int64)
+        C = np.asarray(coeffs, dtype=float)
+        b = np.asarray(rhs, dtype=float)
+        if (P.ndim != 3 or P.shape[2] != 2 or not P.shape[1] or C.shape != P.shape[:2]
+                or b.shape != P.shape[:1]):
+            raise ValueError("cut needs matching, nonempty pairs and coeffs")
+        i, j = P[..., 0], P[..., 1]
+        if i.min(initial=0) < 0 or (j - i).min(initial=1) < 1:
+            raise ValueError("cut pairs must satisfy 0 <= i < j")
+        # column by column: the arity is small and the cuts many
+        key = (i * (int(j.max(initial=0)) + 1) + j).T
+        if any((key[p] == key[q]).any() for p, q in combinations(range(len(key)), 2)):
+            raise ValueError("cut pairs must be distinct")
+        if not (np.isfinite(C).all() and np.isfinite(b).all()):
+            raise ValueError("cut coeffs and rhs must be finite")
+        zero = C[:, 0] == 0
+        for col in C.T[1:]:
+            zero &= col == 0
+        if zero.any():
+            raise ValueError("cut coeffs must not all be zero")
+        out = cls()
+        out._add(_CutBlock(P, C, b))
+        return out
+
+    def _add(self, part):
+        if len(part):
+            self._parts.append(part)
+            self._len += len(part)
+
+    def append(self, cut: Cut):
+        if not isinstance(cut, Cut):
+            raise TypeError(f"expected a Cut, got {type(cut).__name__}")
+        last = self._parts[-1] if self._parts else None
+        if isinstance(last, list) and len(last[0].pairs) == len(cut.pairs):
+            last.append(cut)
+            self._len += 1
+        else:
+            self._add([cut])
+
+    def extend(self, cuts):
+        if isinstance(cuts, CutList):
+            for part in list(cuts._parts):  # ``cuts`` may be self
+                self._add(part if isinstance(part, _CutBlock) else list(part))
+        else:
+            for cut in cuts:
+                self.append(cut)
+
+    def blocks(self):
+        """(pairs, coeffs, rhs) arrays per block, in order, each of one
+        arity; a run of appended cuts is read into arrays here."""
+        for part in self._parts:
+            blk = part if isinstance(part, _CutBlock) else _CutBlock.of_cuts(part)
+            yield blk.pairs, blk.coeffs, blk.rhs
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for part in self._parts:
+            yield from part
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._len)
+            if step != 1:
+                return CutList([self[i] for i in range(start, stop, step)])
+            out, lo = CutList(), 0
+            for part in self._parts:
+                hi = lo + len(part)
+                out._add(part[max(start - lo, 0):max(min(stop, hi) - lo, 0)])
+                lo = hi
+            return out
+        i = range(self._len)[index]  # IndexError out of range, negatives wrap
+        for part in self._parts:
+            if i < len(part):
+                return part[i]
+            i -= len(part)
+
+    def __add__(self, other) -> CutList:
+        out = CutList(self)
+        out.extend(other)
+        return out
+
+    def __radd__(self, other) -> CutList:
+        out = CutList(other)
+        out.extend(self)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, CutList)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CutList({self._len} cuts in {len(self._parts)} blocks)"
+
+
 @dataclass
 class SdpModel:
     """max obj_scale * tr(objective @ Y) over the structured feasible set.
@@ -147,7 +303,8 @@ class SdpModel:
     is either ``psd`` (Y >= 0 in the Loewner order) or ``shifted_psd``
     (cone_k * Y - J >= 0 with integer cone_k >= 2).  ``elementwise_lower``
     bounds every off-diagonal entry from below (the diagonal is pinned by the
-    equality constraints).
+    equality constraints).  ``cuts`` is a CutList; a list of ``Cut`` objects
+    given here is made into one.
     """
 
     n: int
@@ -158,7 +315,7 @@ class SdpModel:
     cone: str = "psd"
     cone_k: int | None = None
     elementwise_lower: np.ndarray | None = None
-    cuts: list[Cut] = field(default_factory=list)
+    cuts: CutList = field(default_factory=CutList)
     name: str = ""
 
     def __post_init__(self):
@@ -183,10 +340,11 @@ class SdpModel:
             if B.shape != (self.n, self.n):
                 raise ValueError("elementwise_lower must be n-by-n")
             self.elementwise_lower = B
-        for cut in self.cuts:
-            for i, j in cut.pairs:
-                if j >= self.n:
-                    raise ValueError(f"cut pair ({i},{j}) out of range for n={self.n}")
+        if not isinstance(self.cuts, CutList):
+            self.cuts = CutList(self.cuts)
+        for P, _, _ in self.cuts.blocks():
+            if P[..., 1].max() >= self.n:
+                raise ValueError(f"cut pair index {P[..., 1].max()} out of range for n={self.n}")
 
     def objective_value(self, Y: np.ndarray) -> float:
         return float(self.obj_scale * np.sum(self.objective * Y))
@@ -235,12 +393,13 @@ class _Cuts:
     Cuts are grouped by arity a, each group holding its flat positions
     i*n + j and its coefficients as (a, C_a) arrays, column c for one cut,
     so that applying a group reads one contiguous row per term.  Cuts are
-    numbered in group order; ``order`` maps that numbering to
-    ``model.cuts``.  ``count`` holds the number of cut entries at each matrix
-    entry, on both (i, j) and (j, i).  ``_Cuts.of(model)`` builds the
-    operator of all the model's cuts, ``take`` that of some of them.
-    ``of`` checks every pair index against n, since cuts appended to
-    ``model.cuts`` after construction skip the model's own check.
+    numbered in group order; ``order`` maps that numbering to the order of
+    the CutList.  ``count`` holds the number of cut entries at each matrix
+    entry, on both (i, j) and (j, i).  ``_Cuts.of(n, cuts)`` builds the
+    operator of a CutList, concatenating its blocks' arrays arity by arity,
+    and ``take`` that of some of its cuts.  ``of`` checks every pair index
+    against n, since cuts appended to ``model.cuts`` after construction skip
+    the model's own check.
     """
 
     def __init__(self, n: int, groups, rhs: np.ndarray, order: np.ndarray):
@@ -258,23 +417,19 @@ class _Cuts:
         self.count = T + T.T
 
     @classmethod
-    def of(cls, model: SdpModel) -> _Cuts:
-        n = model.n
-        arity = np.array([len(cut.pairs) for cut in model.cuts], dtype=np.int64)
-        order = np.argsort(arity, kind="stable")
-        cuts = [model.cuts[r] for r in order]
-        groups, start = [], 0
-        for a, m in zip(*np.unique(arity, return_counts=True)):
-            grp = cuts[start:start + m]
-            P = np.fromiter(chain.from_iterable(chain.from_iterable(cut.pairs for cut in grp)),
-                            np.int64, count=2 * a * m).reshape(m, a, 2)
+    def of(cls, n: int, cuts: CutList) -> _Cuts:
+        blocks = list(cuts.blocks())
+        arity = np.concatenate([np.zeros(0, np.int64)]
+                               + [np.full(b.size, P.shape[1]) for P, _, b in blocks])
+        groups, rhs = [], [np.zeros(0)]
+        for a in sorted({P.shape[1] for P, _, _ in blocks}):
+            same = [blk for blk in blocks if blk[0].shape[1] == a]
+            P, C, b = (np.concatenate(parts) for parts in zip(*same))
             if P[..., 1].max() >= n:
                 raise ValueError(f"cut pair index {P[..., 1].max()} out of range for n={n}")
-            COEF = np.fromiter(chain.from_iterable(cut.coeffs for cut in grp), float,
-                               count=a * m).reshape(m, a)
-            groups.append(((P[..., 0] * n + P[..., 1]).T.copy(), COEF.T.copy()))
-            start += m
-        return cls(n, groups, np.array([cut.rhs for cut in cuts], float), order)
+            groups.append(((P[..., 0] * n + P[..., 1]).T.copy(), C.T.copy()))
+            rhs.append(b)
+        return cls(n, groups, np.concatenate(rhs), np.argsort(arity, kind="stable"))
 
     def take(self, sel: np.ndarray) -> _Cuts:
         """The operator of the cuts ``sel``, ascending in this operator's
@@ -321,8 +476,9 @@ def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts):
     """Model residuals of Y, in the model's own coordinates, and each cut's
     violation (value minus rhs) in ``model.cuts`` order.
 
-    Reads only the model and Y: ``cuts`` is ``_Cuts.of(model)``, which a caller
-    checking many matrices of one model builds once.
+    Reads only the model and Y: ``cuts`` is ``_Cuts.of(model.n,
+    model.cuts)``, which a caller checking many matrices of one model builds
+    once.
     """
     d = np.diagonal(Y)
     if model.diag_values is not None:
@@ -375,7 +531,7 @@ class _SolverSpace:
             e = self.diag - self.shift
             if e.min() >= 0 and np.all(self.floor <= self.shift - np.sqrt(np.outer(e, e))):
                 self.floor = None
-        self.cuts = _Cuts.of(model)
+        self.cuts = _Cuts.of(n, model.cuts)
 
     def state(self, m: int):
         """A zeroed solver state (buffer, X, U_el, E, beta) for m working
@@ -752,7 +908,7 @@ def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> Certificati
         raise ValueError("solution matrix must be a finite n-by-n matrix")
     if np.max(np.abs(Y - Y.T)) > 1e-10:
         raise ValueError("solution matrix is not symmetric within 1e-10")
-    res, viol = _residuals(model, Y, _Cuts.of(model))
+    res, viol = _residuals(model, Y, _Cuts.of(model.n, model.cuts))
     bad = tuple(int(c) for c in np.flatnonzero(viol > tol))
     ok = dict(equality_ok=res["equality"] <= tol, cone_ok=res["cone_min_eig"] >= -tol,
               lower_ok=res["lower_violation"] <= tol, cuts_ok=not bad)

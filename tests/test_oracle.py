@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, random_weighted_graph
-from kcut.graphs import Graph, cut_weight, named_graph
+from kcut.graphs import Graph, Partition, cut_weight, named_graph
 from kcut.oracle import (
     GapReport,
     WorkCapExceeded,
@@ -196,6 +196,62 @@ def test_hyperplane_round_degenerate_all_ones():
     part, val = hyperplane_round(ones, g, 2, trials=50, seed=9)
     assert val == 0.0  # identical vertex vectors land in one part
     assert len(set(part.assignment.tolist())) == 1
+
+
+def _reference_round(sol, g, k, trials, seed):
+    # one trial at a time: draw, score, relabel parts by first appearance,
+    # weigh with cut_weight; the first trial of greatest weight wins
+    w, Q = np.linalg.eigh((sol.Y + sol.Y.T) / 2.0)
+    V = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
+    best_val, best_part = -1.0, None
+    for t in range(trials):
+        R = np.random.Generator(np.random.PCG64(seed + t)).standard_normal((k, g.n))
+        relabel = {}
+        a = [relabel.setdefault(int(p), len(relabel)) for p in np.argmax(R @ V, axis=0)]
+        part = Partition(assignment=np.array(a), k=k)
+        val = cut_weight(g, part)
+        if val > best_val:
+            best_val, best_part = val, part
+    return best_part, best_val
+
+
+def test_batched_rounding_matches_trial_by_trial_reference(rng):
+    real = np.triu(rng.random((11, 11)) * (rng.random((11, 11)) < 0.6), 1)
+    graphs = [named_graph("cycle", (5,)), named_graph("petersen"), random_graph(10, 0.5, rng),
+              random_weighted_graph(9, 0.6, rng), Graph(n=11, weights=real + real.T)]
+    for g in graphs:
+        for k in (2, 3, 4):
+            sol = solve(build(g, k, RelaxationKind.MAIN_SDP))
+            ones = SdpSolution.from_matrix(build(g, k, RelaxationKind.MAIN_SDP),
+                                           np.ones((g.n, g.n)))
+            for s in (sol, ones):
+                for trials, seed in ((1, 0), (1, 5), (60, 1), (100, 7)):
+                    part, val = hyperplane_round(s, g, k, trials=trials, seed=seed)
+                    ref_part, ref_val = _reference_round(s, g, k, trials, seed)
+                    assert val == ref_val and part.k == k, (g.name, k, trials, seed)
+                    assert np.array_equal(part.assignment, ref_part.assignment)
+
+
+def test_rounding_rejects_non_finite_y():
+    g = named_graph("cycle", (5,))
+    sol = solve(build(g, 2, RelaxationKind.MAIN_SDP))
+    Y = sol.Y.copy()
+    Y[1, 2] = Y[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        hyperplane_round(replace(sol, Y=Y), g, 2)
+
+
+def test_rounding_rejects_y_of_another_size():
+    sol = solve(build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP))
+    with pytest.raises(ValueError, match="6-by-6"):
+        hyperplane_round(sol, named_graph("cycle", (6,)), 2)
+
+
+def test_rounding_rejects_k_below_one():
+    g = named_graph("cycle", (5,))
+    sol = solve(build(g, 2, RelaxationKind.MAIN_SDP))
+    with pytest.raises(ValueError, match="k >= 1"):
+        hyperplane_round(sol, g, 0)
 
 
 def test_rounding_seeded_determinism_and_bounds(rng):

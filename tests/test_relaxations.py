@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from conftest import random_graph
 from kcut.acceptance import _dominance_corpus
 from kcut.errors import CapExceeded
-from kcut.graphs import named_graph
+from kcut import relaxations
+from kcut.graphs import Graph, named_graph
 from kcut.relaxations import (
     RelaxationKind,
     build,
@@ -15,7 +18,7 @@ from kcut.relaxations import (
     separate_triangles,
     triangle_cuts,
 )
-from kcut.sdp import SolverOptions, certify, solve
+from kcut.sdp import Cut, SolverOptions, certify, solve
 from kcut.spectra import lambda_max
 
 
@@ -70,6 +73,76 @@ def test_separate_triangles():
     Y[3, 4] = Y[4, 3] = -0.5
     found = separate_triangles(Y, max_cuts=2, violation_tol=1e-6)
     assert len(found) == 2
+
+
+def _pair(i, j):
+    return (i, j) if i < j else (j, i)
+
+
+def _ref_triangle(i, j, k):
+    # y_ij + y_ik <= 1 + y_jk with apex i, one Cut at a time
+    return Cut(pairs=(_pair(i, j), _pair(i, k), _pair(j, k)), coeffs=(1.0, 1.0, -1.0), rhs=1.0)
+
+
+def test_array_families_equal_cut_by_cut_construction():
+    for n in range(3, 10):
+        ref = []
+        for a, b, c in itertools.combinations(range(n), 3):
+            ref += (_ref_triangle(a, b, c), _ref_triangle(b, a, c), _ref_triangle(c, a, b))
+        assert list(triangle_cuts(n)) == ref, n
+        for k in (2, 3):
+            if k + 1 <= n:
+                ref = [Cut(pairs=tuple(itertools.combinations(Q, 2)),
+                           coeffs=(-1.0,) * math.comb(k + 1, 2), rhs=-1.0)
+                       for Q in itertools.combinations(range(n), k + 1)]
+                assert list(independent_set_cuts(n, k)) == ref, (n, k)
+
+
+def test_triangle_family_memory():
+    # 976,500 cuts as one block of arrays; one Cut object per cut took
+    # about 336 B per cut (313 MiB)
+    tracemalloc.start()
+    try:
+        cuts = triangle_cuts(126)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cuts) == 976_500
+    assert peak <= 160 * len(cuts)
+
+
+def _ref_separate(Y, max_cuts, violation_tol):
+    # every violated (apex, j < k) triple, sorted whole
+    n = Y.shape[0]
+    found = [(Y[i, j] + Y[i, k] - Y[j, k] - 1.0, (i, j, k))
+             for i in range(n) for j, k in itertools.combinations(range(n), 2)
+             if i not in (j, k)]
+    found = sorted((t for t in found if t[0] > violation_tol), key=lambda t: (-t[0], t[1]))
+    return [_ref_triangle(*ijk) for _, ijk in found[:max_cuts]]
+
+
+def test_separate_triangles_matches_reference(rng):
+    for n in (3, 4, 9, 16):
+        for rounded in (False, True):
+            A = rng.uniform(-1.0, 1.0, (n, n))
+            Y = (A + A.T) / 2.0
+            if rounded:
+                Y = np.round(Y, 1)  # many equal violations: the tie-break decides
+            for max_cuts in (1, 5, 2000):
+                assert separate_triangles(Y, max_cuts, 1e-5) == _ref_separate(Y, max_cuts, 1e-5)
+
+
+def test_separate_triangles_memory_is_quadratic(rng):
+    # one apex at a time: the n^3 violation array took 122 MiB at n = 200
+    A = rng.uniform(-1.0, 1.0, (200, 200))
+    tracemalloc.start()
+    try:
+        cuts = separate_triangles((A + A.T) / 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cuts) == 2000
+    assert peak <= 8 * 2**20
 
 
 def test_independent_set_cuts():
@@ -135,6 +208,19 @@ def test_cutting_plane_loop_round_count():
     objs = sol.info["round_objectives"]
     assert len(objs) == 2 and objs[0] == base.objective_value
     assert sol.info["num_cuts"] == 30 + 10
+
+
+def test_cutting_plane_loop_checks_caps_before_solving(monkeypatch):
+    # 3 C(127,3) triangle cuts exceed the cap: refused before the base solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the cap check")
+
+    monkeypatch.setattr(relaxations, "solve", no_solve)
+    g = Graph(n=127, weights=np.zeros((127, 127)))
+    with pytest.raises(CapExceeded):
+        cutting_plane_loop(g, 2, families=("triangles",))
+    with pytest.raises(CapExceeded):
+        cutting_plane_loop(g, 5, families=("independent_sets",))
 
 
 def test_main_equals_frieze_jerrum(rng):

@@ -13,6 +13,7 @@ from kcut.oracle import brute_force_maxkcut
 from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
     Cut,
+    CutList,
     SdpModel,
     SdpSolution,
     SolverOptions,
@@ -65,6 +66,63 @@ def test_model_validation():
     for coeffs, rhs in (((1.0, math.nan), 1.0), ((math.inf, 1.0), 1.0), ((1.0, 1.0), -math.inf)):
         with pytest.raises(ValueError, match="finite"):
             Cut(pairs=((0, 1), (0, 2)), coeffs=coeffs, rhs=rhs)
+
+
+def test_cut_list_from_arrays_validates_like_cut():
+    P = np.array([[[0, 1], [0, 2]], [[1, 2], [0, 2]]])
+    C = np.array([[1.0, -1.0], [2.0, 0.5]])
+    cuts = CutList.from_arrays(P, C, [0.5, 1.0])
+    assert list(cuts) == [Cut(pairs=((0, 1), (0, 2)), coeffs=(1.0, -1.0), rhs=0.5),
+                          Cut(pairs=((1, 2), (0, 2)), coeffs=(2.0, 0.5), rhs=1.0)]
+    bad = [(P[:, :1], C, [0.5, 1.0], "matching"),
+           (P[:, ::-1, ::-1], C, [0.5, 1.0], "0 <= i < j"),
+           (P[:, [0, 0]], C, [0.5, 1.0], "distinct"),
+           (P, np.array([[1.0, np.nan], [1.0, 1.0]]), [0.5, 1.0], "finite"),
+           (P, C, [0.5, np.inf], "finite"),
+           (P, np.array([[1.0, 1.0], [0.0, 0.0]]), [0.5, 1.0], "all be zero")]
+    for pairs, coeffs, rhs, match in bad:
+        with pytest.raises(ValueError, match=match):
+            CutList.from_arrays(pairs, coeffs, rhs)
+
+
+def test_cut_list_behaves_as_a_list_of_cuts():
+    tri, six = triangle_cuts(5), independent_set_cuts(5, 3)
+    single = Cut(pairs=((0, 2),), coeffs=(1.0,), rhs=0.1)
+    as_list = list(tri)
+    assert len(tri) == 30 and tri[0] == as_list[0] and tri[-1] == as_list[-1]
+    assert tri[3:7] == as_list[3:7] and tri[::-4] == as_list[::-4] and tri[40:] == []
+    mixed = [six[0], tri[0], single] + tri[1:] + six[1:]
+    assert isinstance(mixed, CutList) and len(mixed) == 3 + 29 + 4
+    assert mixed == [six[0], tri[0], single] + as_list[1:] + list(six)[1:]
+    grown = CutList(mixed)
+    grown.append(single)
+    grown.extend([tri[2], six[1]])
+    grown.extend(grown[:2])
+    assert list(grown) == list(mixed) + [single, tri[2], six[1], six[0], tri[0]]
+    tail = tri[:2] + [single]  # a block, then a run of appended Cuts
+    longer = tail + [single]  # grows its own copy of the run
+    assert len(tail) == 3 and len(longer) == 4 and len(mixed) == 36
+    with pytest.raises(IndexError):
+        tri[30]
+    with pytest.raises(TypeError):
+        grown.append((((0, 1),), (1.0,), 1.0))
+    model = SdpModel(n=5, objective=np.zeros((5, 5)), diag_values=np.ones(5), cuts=as_list)
+    assert isinstance(model.cuts, CutList) and model.cuts == tri
+
+
+def test_family_blocks_solve_like_explicit_cuts():
+    # Coxeter with all 13,104 cuts: the families' blocks and the same cuts
+    # appended one Cut at a time give one operator, so one solve, bit for bit
+    g = named_graph("coxeter")
+    fams = triangle_cuts(28) + independent_set_cuts(28, 2)
+    blocks, explicit = build(g, 2, RelaxationKind.MAIN_SDP), build(g, 2, RelaxationKind.MAIN_SDP)
+    blocks.cuts.extend(fams)
+    for cut in fams:
+        explicit.cuts.append(Cut(pairs=cut.pairs, coeffs=cut.coeffs, rhs=cut.rhs))
+    a, b = solve(blocks), solve(explicit)
+    assert a.status == b.status == "optimal"
+    assert np.array_equal(a.Y, b.Y) and a.iterations == b.iterations
+    assert a.objective_value == b.objective_value and a.dual_bound == b.dual_bound
 
 
 def test_appended_cut_out_of_range_is_rejected():
@@ -352,7 +410,7 @@ def test_working_operator_slices_the_full_one():
     model = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
     model.cuts.extend(independent_set_cuts(10, 3)[:4] + triangle_cuts(10)[:5]
                       + [Cut(pairs=((1, 4),), coeffs=(2.0,), rhs=0.5)])
-    full = _Cuts.of(model)
+    full = _Cuts.of(model.n, model.cuts)
     sel = np.array([1, 2, 9])
     part = full.take(sel)
     M = np.random.default_rng(0).random((10, 10))
