@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .spectra import eigendecompose, lambda_max
+from .spectra import lambda_max
 
 __all__ = [
     "BoundReport",
@@ -137,9 +137,8 @@ def hoffman_bound(g: Graph) -> BoundReport:
             source="hoffman_bound",
             metadata={"ceiling": 1, "degenerate": True},
         )
-    spec = eigendecompose(g.weights)
-    theta_max = float(spec.distinct_values[-1])
-    theta_min = float(spec.distinct_values[0])
+    theta = np.linalg.eigvalsh(g.weights)
+    theta_max, theta_min = float(theta[-1]), float(theta[0])
     value = 1.0 - theta_max / theta_min
     return BoundReport(
         value=value,

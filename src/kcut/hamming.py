@@ -88,10 +88,11 @@ def kravchuk_table(d: int, q: int) -> KravchukTable:
     # whose division by j + 1 leaves no remainder
     rows = [[1] * (d + 1)]
     prev = [0] * (d + 1)
+    qi = range(0, q * d + 1, q)
     for j in range(d):
         cur = rows[-1]
         a, b = (q - 1) * (d - j) + j, (q - 1) * (d - j + 1)
-        rows.append([((a - q * i) * cur[i] - b * prev[i]) // (j + 1) for i in range(d + 1)])
+        rows.append([((a - x) * c - b * p) // (j + 1) for x, c, p in zip(qi, cur, prev)])
         prev = cur
     K = tuple(tuple(row) for row in rows)
     mult = tuple(comb(d, i) * (q - 1) ** i for i in range(d + 1))
@@ -191,7 +192,7 @@ def check_conjecture(d: int, q: int) -> ConjectureReport:
     rows = []
     for j in range(1, d + 1):
         vals = table.K[j]
-        argmin = min(range(d + 1), key=lambda i: (vals[i], i))
+        argmin = vals.index(min(vals))  # the first minimum
         rows.append(
             ConjectureRow(
                 d=d,

@@ -48,17 +48,18 @@ the checks, for the residuals and the Farkas margin.
 
 The loop carries only a working set of the cuts, after BiqMac (Rendl,
 Rinaldi & Wiegele 2010): the cuts the start point violates, then, at every
-25-iteration check, where ``_residuals`` evaluates every cut, each cut
-violated by more than ``tol_eq``; cuts never leave.  Cuts that never bind
-thus cost no work per iteration and do not slow the consensus averaging,
-which gives an entry read by many cut blocks a high degree.  The working
-operator slices the columns of the full one (``_Cuts.take``).  When the set
-grows, the plain step's X, U_el, E and the kept cuts' beta carry over; a new
-cut starts at beta = 0, with the dual E[pairs_c] of a block that was never
-active, U_psd is recovered from the block duals' sum and the Anderson
-history restarts.  The stop test, the Farkas test and the returned residuals
-read every cut, and a cut outside the working set enters the dual bound
-with multiplier 0, so a solve is certified against the whole model.
+full check (every 25 iterations), where ``_residuals`` evaluates every cut,
+each cut violated by more than ``tol_eq``; cuts never leave.  Cuts that
+never bind thus cost no work per iteration and do not slow the consensus
+averaging, which gives an entry read by many cut blocks a high degree.  The
+working operator slices the columns of the full one (``_Cuts.take``).  When
+the set grows, the plain step's X, U_el, E and the kept cuts' beta carry
+over; a new cut starts at beta = 0, with the dual E[pairs_c] of a block that
+was never active, U_psd is recovered from the block duals' sum and the
+Anderson history restarts.  The stop test, the Farkas test and the
+returned residuals read every cut, and a cut outside the working set enters
+the dual bound with multiplier 0, so a solve is certified against the whole
+model.
 
 The ADMM step x -> T(x) on the state x = (X, U_el, E, beta) is sped up by
 safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
@@ -71,19 +72,26 @@ O(n^2 + #cuts), and every model is accelerated.
 
 One residual routine, ``_residuals``, reads a matrix in the model's own
 coordinates: the solver's stop test runs it on the very matrix ``solve``
-returns, and ``certify`` is that call plus a report.  Every 25 iterations,
-on the plain step's output, it must find the equality, lower-bound and cut
-residuals and the least cone eigenvalue within tolerance, and then a dual
-feasible point assembled from the block multipliers (shifting the diagonal
-multiplier enough to make the slack matrix PSD) must give a weak-duality
-upper bound within ``tol_gap`` of the objective.  A solve is ``optimal``
-exactly when this certified test stopped it; the dual bound stays a valid
-upper bound however the loop ends.  At a check whose residuals fail, the
-same dual assembly runs on the step of the multipliers with a zero
-objective: on an infeasible model ADMM's dual iterates diverge along a
-Farkas ray (Banjac, Goulart, Stellato & Boyd 2019), and a negative value
-proves that no feasible point exists.  Only that proof reports
-``infeasible``.
+returns, and ``certify`` is that call plus a report.  The stop test reads
+the plain step's output.  It must find the equality, lower-bound and cut
+residuals within tolerance, then the least cone eigenvalue, computed only
+once those pass, and then a dual feasible point assembled from the block
+multipliers (shifting the diagonal multiplier enough to make the slack
+matrix PSD) must give a weak-duality upper bound within ``tol_gap`` of the
+objective.  A solve is ``optimal`` exactly when this certified test stopped
+it; the dual bound stays a valid upper bound however the loop ends.
+
+The test runs at every 25th iteration, a full check, and at the perfect
+squares up to 144 (iterations 1, 4, 9, 16, 36, ..., 144), a stop-only
+check: many small and association-scheme models certify within 9 to 18
+iterations.  At a full check whose residuals fail, the same dual assembly
+runs on the step of the multipliers with a zero objective: on an
+infeasible model ADMM's dual iterates diverge along a Farkas ray (Banjac,
+Goulart, Stellato & Boyd 2019), and a negative value proves that no
+feasible point exists.  Only that proof reports ``infeasible``.  A
+stop-only check runs the stop test alone: no Farkas test, no growth of the
+working set, no write to the solver's state.  So a solve takes exactly the
+iterates it takes with full checks alone, and can only stop sooner.
 """
 
 from __future__ import annotations
@@ -360,7 +368,8 @@ class SolverOptions:
 
 
 _ALPHA = 1.6  # over-relaxation
-_CHECK_EVERY = 25  # iterations between stop tests
+_CHECK_EVERY = 25  # iterations between full checks
+_EARLY_LAST = 144  # the last early, stop-only check: perfect squares up to it
 _AA_DEPTH = 10  # Anderson history length
 _AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
 _AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
@@ -472,20 +481,22 @@ class _Cuts:
                                                for sl, IDX, COEF in self.groups])
 
 
-def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts):
+def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts, eig_within: float | None = None):
     """Model residuals of Y, in the model's own coordinates, and each cut's
     violation (value minus rhs) in ``model.cuts`` order.
 
     Reads only the model and Y: ``cuts`` is ``_Cuts.of(model.n,
     model.cuts)``, which a caller checking many matrices of one model builds
-    once.
+    once.  With ``eig_within`` given, the least cone eigenvalue, the one
+    costly figure, is computed only when the equality, lower-bound and cut
+    residuals are all within it, and reads nan otherwise: the stop test,
+    which fails on those residuals first, skips its eigensolve.
     """
     d = np.diagonal(Y)
     if model.diag_values is not None:
         eq = float(np.max(np.abs(d - model.diag_values)))
     else:
         eq = abs(float(d.sum()) - model.trace_value)
-    cone = model.cone_k * Y - 1.0 if model.cone == "shifted_psd" else Y
     low = 0.0
     if model.elementwise_lower is not None:
         excess = model.elementwise_lower - Y
@@ -493,11 +504,16 @@ def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts):
         low = max(float(np.max(excess)), 0.0)
     viol = np.empty(cuts.size)
     viol[cuts.order] = cuts.apply(Y) - cuts.rhs
+    cut = max(float(viol.max(initial=0.0)), 0.0)
+    eig = math.nan
+    if eig_within is None or max(eq, low, cut) <= eig_within:
+        cone = model.cone_k * Y - 1.0 if model.cone == "shifted_psd" else Y
+        eig = float(np.linalg.eigvalsh(cone)[0])
     return {
         "equality": eq,
-        "cone_min_eig": float(np.linalg.eigvalsh(cone)[0]),
+        "cone_min_eig": eig,
         "lower_violation": low,
-        "cut_violation": max(float(viol.max(initial=0.0)), 0.0),
+        "cut_violation": cut,
     }, viol
 
 
@@ -658,14 +674,24 @@ class _Anderson:
         return True
 
 
+def _check_at(it: int) -> bool:
+    """Whether iteration ``it`` ends with a check: every ``_CHECK_EVERY``
+    iterations a full one, and at the perfect squares up to ``_EARLY_LAST``
+    a stop-only one, so that a solve that certifies early returns early."""
+    return it % _CHECK_EVERY == 0 or (it <= _EARLY_LAST and math.isqrt(it) ** 2 == it)
+
+
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the model; see the module docstring for the scheme.
 
     The loop carries a working set of the model's cuts: those the start
-    point violates, then, at each 25-iteration check, every cut whose
-    violation exceeds ``tol_eq``; cuts never leave it.  The checks read
-    every cut, so a solve is certified against all of them, and a cut
-    outside the working set enters the dual bound with multiplier 0.
+    point violates, then, at each full check (every 25 iterations), every
+    cut whose violation exceeds ``tol_eq``; cuts never leave it.  The checks
+    read every cut, so a solve is certified against all of them, and a cut
+    outside the working set enters the dual bound with multiplier 0.  The
+    stop-only checks at the perfect squares up to 144 (``_check_at``) run
+    the same certified test and change no iterate, so they only end a solve
+    sooner.
 
     Status ``optimal`` means the certified test stopped the loop, and
     ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
@@ -753,7 +779,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             np.add((1 - alpha) * E, X - Xn, out=En)
             np.subtract((1 - alpha) * beta, alpha * lam, out=betan)
 
-        if it % _CHECK_EVERY == 0:
+        if _check_at(it):
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
             if wc.size:
                 # cut c's projected point is (X - E)[pairs_c] - (beta_c +
@@ -762,7 +788,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + lam)) ** 2)
             r = float(np.sqrt(r2))
             s = float(rho * np.linalg.norm(Xn - X))
-            resid, cut_viol = _residuals(model, Xn, cuts)
+            resid, cut_viol = _residuals(model, Xn, cuts, opts.tol_eq)
             if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                     <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
                 obj = float(np.vdot(G, Xn))
@@ -770,10 +796,12 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
-            else:
-                # Farkas test: the multipliers' step, read as a dual point of
-                # the zero objective, proves infeasibility by a negative value;
-                # the margin, relative to the step (cut duals entry by entry),
+            elif it % _CHECK_EVERY == 0:
+                # only a full check acts on failed residuals, so a stop-only
+                # check leaves the iterates as they are.  Farkas test: the
+                # multipliers' step, read as a dual point of the zero
+                # objective, proves infeasibility by a negative value; the
+                # margin, relative to the step (cut duals entry by entry),
                 # covers the rounding of the eigenvalue shift
                 d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
                 step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])

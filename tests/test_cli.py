@@ -171,7 +171,8 @@ def test_exit_code_solver_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("method, routine", [
     ("eig", "eigvalsh"), ("chromatic", "eigvalsh"),  # LinAlgError from lambda_max
-    ("hoffman", "eigh"), ("srg", "eigh"),  # SpectraError from eigendecompose
+    ("hoffman", "eigvalsh"),  # LinAlgError from hoffman_bound
+    ("srg", "eigh"),  # SpectraError from eigendecompose
     ("perturbed", "eigh"), ("sdp", "eigh"), ("sdp+triangles", "eigh"),  # inside solve
 ])
 def test_exit_code_eigensolver_failure(monkeypatch, capsys, method, routine):

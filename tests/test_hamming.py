@@ -114,6 +114,16 @@ def test_check_conjecture():
     assert all(ln.endswith(",1") for ln in csv.splitlines()[1:])
 
 
+def test_conjecture_grid_matches_the_defining_sum():
+    # each row against kravchuk() and the keyed first-minimum rule
+    for rep in conjecture_grid(12, 6):
+        for r in rep.rows:
+            vals = [kravchuk(rep.d, rep.q, r.j, i) for i in range(rep.d + 1)]
+            argmin = min(range(rep.d + 1), key=lambda i: (vals[i], i))
+            assert (r.k_at_one, r.min_value, r.argmin, r.passed) == (
+                vals[1], vals[argmin], argmin, vals[argmin] == vals[1])
+
+
 def test_first_coordinate_qcut():
     _, cut = first_coordinate_qcut(2, 3, 2)
     assert cut == 18  # q^(d-1) C(d-1,j-1) (q-1)^(j-1) edges per part pair, 3 pairs

@@ -19,6 +19,7 @@ from kcut.sdp import (
     SolverOptions,
     _Cuts,
     _SolverSpace,
+    _check_at,
     certify,
     dump_model,
     solve,
@@ -314,16 +315,47 @@ def _certified(sol, opts):
 
 def test_stop_rule_is_the_certified_test():
     # the loop stops at the first check that passes the certified test, so
-    # one check earlier the same solve must still fail it; perturbed_sdp at
-    # k = 2 on the dominance corpus's eighth graph needs several checks, so
-    # the earlier one is a real iterate, not the start point
+    # at the schedule's previous check the same solve must still fail it;
+    # perturbed_sdp at k = 2 on the dominance corpus's eighth graph needs
+    # several checks, so the earlier one is a real iterate, not the start
+    # point
     model = build(_dominance_corpus()[7], 2, RelaxationKind.PERTURBED_SDP)
     opts = SolverOptions()
     sol = solve(model)
     assert sol.status == "optimal" and _certified(sol, opts)
     assert sol.iterations >= 75
-    early = solve(model, SolverOptions(max_iter=sol.iterations - 25))
+    previous = max(it for it in range(1, sol.iterations) if _check_at(it))
+    early = solve(model, SolverOptions(max_iter=previous))
     assert early.status == "max_iter" and not _certified(early, opts)
+
+
+@pytest.mark.parametrize("d, q, j, k", [(2, 9, 2, 2), (2, 9, 2, 9), (4, 3, 3, 3)])
+def test_scheme_solves_stop_before_the_first_full_check(d, q, j, k):
+    # these Hamming-scheme solves certify by iteration 16, a stop-only check
+    sol = solve(build(hamming_graph(d, q, j), k, RelaxationKind.MAIN_SDP))
+    assert sol.status == "optimal" and sol.iterations < 25
+
+
+def test_stop_only_checks_leave_the_iterates_unchanged(monkeypatch):
+    # main_sdp with all triangles on a G(10, 1/2) stops past the last
+    # stop-only check, growing its working set at full checks; with checks
+    # every 25 iterations only, it returns the same bits, and an infeasible
+    # model ends the same way
+    g = random_graph(10, 0.5, np.random.Generator(np.random.PCG64(1)))
+    model = build(g, 2, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(triangle_cuts(10))
+    infeasible = _c5_with_cut(*_INFEASIBLE_PROBES[0])
+    runs = []
+    for schedule in (_check_at, lambda it: it % 25 == 0):
+        monkeypatch.setattr("kcut.sdp._check_at", schedule)
+        runs.append((solve(model), solve(infeasible)))
+    (sol, bad), (ref, bad_ref) = runs
+    assert sol.status == "optimal" and sol.iterations > 144
+    assert np.array_equal(sol.Y, ref.Y) and sol.dual_bound == ref.dual_bound
+    assert (sol.iterations, sol.info["working_cuts"]) == (ref.iterations,
+                                                          ref.info["working_cuts"])
+    assert bad.status == bad_ref.status == "infeasible"
+    assert bad.iterations == bad_ref.iterations and np.array_equal(bad.Y, bad_ref.Y)
 
 
 def test_penalty_is_fixed_for_the_solve():
