@@ -25,7 +25,7 @@ from .bounds import eigenvalue_bound
 from .errors import CapExceeded
 from .graphs import Graph, Partition, cut_weight
 from .relaxations import RelaxationKind, build, cutting_plane_loop
-from .sdp import SdpSolution, SolverOptions, solve
+from .sdp import SdpSolution, SolverOptions, _eigh, solve
 
 __all__ = [
     "WorkCapExceeded",
@@ -203,7 +203,7 @@ def hyperplane_round(
         raise ValueError(f"Y must be {n}-by-{n} for this graph, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must be finite")
-    w, Q = np.linalg.eigh((Y + Y.T) / 2.0)
+    w, Q = _eigh((Y + Y.T) / 2.0)
     w = np.clip(w, 0.0, None)
     V = (Q * np.sqrt(w)) @ Q.T  # columns V[:, v] give vertex vectors
     R = np.stack([np.random.Generator(np.random.PCG64(seed + t)).standard_normal((k, n))

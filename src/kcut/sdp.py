@@ -41,10 +41,15 @@ always E[pairs_c] + beta_c coef_c: one symmetric matrix E and one scalar per
 cut, updated as E <- (1 - a) E + (X - Xn) and beta <- (1 - a) beta - a lam,
 where a is the over-relaxation, lam = max(viol, 0) / |coef|^2 and viol = A(X
 - E) - beta |coef|^2 - rhs, A applying the cuts to a matrix (``_Cuts``).  The
-block duals sum to zero (U_psd + U_el + the cut duals summed into a
-matrix), so the consensus step reads the cut duals through that sum and
-scatters only the violated cuts' lam.  Per-entry duals are formed only at
-the checks, for the residuals and the Farkas margin.
+block duals sum to zero, U_psd + U_el + C = 0 with C = count * E +
+scatter(beta) the cut duals summed into a matrix, so the PSD block's dual is
+never stored: the step reads it as -(U_el + C).  C is zero without working
+cuts; with them it is carried through the plain step, which scatters only
+the violated cuts' lam, and recomputed from E and beta only when
+acceleration or a new working set moves the state.  The step writes into
+scratch matrices allocated once per solve, and touches the shift s only
+when s != 0.  Per-entry duals are formed only at the checks, for the
+residuals and the Farkas margin.
 
 The loop carries only a working set of the cuts, after BiqMac (Rendl,
 Rinaldi & Wiegele 2010): the cuts the start point violates, then, at every
@@ -55,20 +60,23 @@ averaging, which gives an entry read by many cut blocks a high degree.  The
 working operator slices the columns of the full one (``_Cuts.take``).  When
 the set grows, the plain step's X, U_el, E and the kept cuts' beta carry
 over; a new cut starts at beta = 0, with the dual E[pairs_c] of a block that
-was never active, U_psd is recovered from the block duals' sum and the
-Anderson history restarts.  The stop test, the Farkas test and the
+was never active, C is recomputed and the Anderson history restarts.  The stop test, the Farkas test and the
 returned residuals read every cut, and a cut outside the working set enters
 the dual bound with multiplier 0, so a solve is certified against the whole
 model.
 
 The ADMM step x -> T(x) on the state x = (X, U_el, E, beta) is sped up by
-safeguarded type-II Anderson acceleration: depth 10, a Gram-matrix ridge of
+safeguarded type-II Anderson acceleration: depth 20, a Gram-matrix ridge of
 1e-10 times its trace, and a revert to the plain step, with the history
 cleared, whenever the accelerated point's fixed-point residual is larger
 than that of the point before it (or not finite).  Acceleration stops after
 500 reverts in the solve, and only then.  The history keeps the upper
 triangles of X and U_el, E at the working cuts' entries and beta, so it is
-O(n^2 + #cuts), and every model is accelerated.
+O(n^2 + #cuts), and every model is accelerated.  Depth 20 is the deepest
+history whose memory stays within 4 MiB at n = 81; on small models it
+certifies in about a quarter fewer iterations than depth 10.  The
+eigendecomposition of the projection (``_eigh``) retries on the reversed
+matrix should LAPACK fail to converge.
 
 One residual routine, ``_residuals``, reads a matrix in the model's own
 coordinates: the solver's stop test runs it on the very matrix ``solve``
@@ -370,7 +378,7 @@ class SolverOptions:
 _ALPHA = 1.6  # over-relaxation
 _CHECK_EVERY = 25  # iterations between full checks
 _EARLY_LAST = 144  # the last early, stop-only check: perfect squares up to it
-_AA_DEPTH = 10  # Anderson history length
+_AA_DEPTH = 20  # Anderson history length
 _AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
 _AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
 
@@ -573,8 +581,12 @@ class _Anderson:
     cut reads: O(n^2 + #cuts).  With cuts, the metric weights E_ij by the
     square root of the number of cuts reading it and beta_c by |coef_c|, so
     that it follows the inner product of the per-entry cut duals; without
-    cuts it is the plain one on the upper triangles.  The step counts run
-    over the whole solve; ``layout`` fits the history to a new working set.
+    cuts it is the plain one on the upper triangles.  The packed current
+    iterate (``cur``) is always one already at hand -- the last candidate,
+    the last plain step or the restored one -- so it is kept rather than
+    gathered again, until ``clear`` starts a new history.  The step counts
+    run over the whole solve; ``layout`` fits the history to a new working
+    set.
     """
 
     def __init__(self, n: int, cuts: _Cuts):
@@ -612,7 +624,7 @@ class _Anderson:
     def clear(self):
         self.hist = self.slot = 0
         self.pending = False
-        self.f_prev = self.t_prev = None
+        self.f_prev = self.t_prev = self.cur = None
 
     def _pack(self, xb: np.ndarray) -> np.ndarray:
         v = xb[self.pack]
@@ -628,9 +640,12 @@ class _Anderson:
     def advance(self, xb: np.ndarray, yb: np.ndarray) -> bool:
         """Given the state xb and its plain step yb = T(xb), write the next
         iterate into xb and return True, or return False for xb <- yb."""
-        t = self._pack(yb)
+        # the packed xb: None only on a new history's first call, since
+        # every return leaves xb at a point packed here
+        cur = self._pack(xb) if self.cur is None else self.cur
+        t = self.cur = self._pack(yb)  # False: xb <- yb
         f = self.dF[self.slot]
-        np.subtract(t, self._pack(xb), out=f)
+        np.subtract(t, cur, out=f)
         if self.weight is not None:
             f *= self.weight
         fn = math.sqrt(np.dot(f, f))
@@ -640,8 +655,10 @@ class _Anderson:
                 # the accelerated point did worse than the point before it:
                 # take that point's plain step and start a new history
                 self.rejected += 1
-                self._unpack(self.t_prev, xb)
+                t_prev = self.t_prev
+                self._unpack(t_prev, xb)
                 self.clear()
+                self.cur = t_prev
                 return True
         if self.t_prev is None:
             self.f_prev, self.t_prev = f.copy(), t
@@ -659,6 +676,7 @@ class _Anderson:
         tr = sum(self.sq[:h])
         if not 0.0 < tr < np.inf:
             self.clear()
+            self.cur = t
             return False
         A = self.gram[:h, :h] + (_AA_RIDGE * tr) * self.eye[:h, :h]
         gamma = np.linalg.solve(A, self.dF[:h] @ self.f_prev)
@@ -666,12 +684,27 @@ class _Anderson:
         if not math.isfinite(np.dot(cand, cand)):
             self.rejected += 1
             self.clear()
+            self.cur = t
             return False
         self._unpack(cand, xb)
+        self.cur = cand
         self.pending = True
         self.fn_base = fn
         self.steps += 1
         return True
+
+
+def _eigh(M: np.ndarray):
+    """``np.linalg.eigh(M)``; should LAPACK fail to converge, that of the
+    reversed matrix M[::-1, ::-1] with its eigenvector rows reversed back,
+    an exact permutation similarity.  Matrices near an association scheme's
+    algebra, with large clusters of equal eigenvalues, have made the first
+    call fail where the second succeeds; a second failure propagates."""
+    try:
+        return np.linalg.eigh(M)
+    except np.linalg.LinAlgError:
+        w, Q = np.linalg.eigh(M[::-1, ::-1])
+        return w, Q[::-1]
 
 
 def _check_at(it: int) -> bool:
@@ -691,13 +724,15 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     outside the working set enters the dual bound with multiplier 0.  The
     stop-only checks at the perfect squares up to 144 (``_check_at``) run
     the same certified test and change no iterate, so they only end a solve
-    sooner.
+    sooner.  The state is (X, U_el, E, beta); the PSD block's dual is
+    -(U_el + C), read through the working cuts' dual sum C = count * E +
+    scatter(beta), which is zero without working cuts.
 
     Status ``optimal`` means the certified test stopped the loop, and
     ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
     means a Farkas certificate stopped it; ``max_iter`` returns the last
-    iterate.  Anderson acceleration, run on every model, only chooses where
-    the next plain ADMM step starts, so it changes how soon a solve
+    iterate.  Anderson acceleration (depth 20), run on every model, only
+    chooses where the next plain ADMM step starts, so it changes how soon a solve
     certifies, never what is certified.  The residuals also carry the ADMM
     ``primal`` and ``dual`` residuals of the last check; ``sol.info`` reports
     the fixed penalty (``rho``), the final size of the working set
@@ -721,16 +756,18 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     wc = cuts.take(np.flatnonzero(working))
     deg = 2.0 + wc.count
     # x is the iterate, y = T(x) the plain ADMM step from it; E and beta
-    # factor the working cuts' duals (see the module docstring).  Every step
-    # keeps U_psd + U_el + count * E + scatter(beta) = 0, the block duals
-    # summed into a matrix, so the PSD block's scaled dual is not part of the
-    # state: plain steps carry it along, it is recovered from the sum
-    # whenever acceleration or a new working set moves the state, and the
-    # consensus step reads the cut duals through it
+    # factor the working cuts' duals (see the module docstring).  The block
+    # duals sum to zero, so the PSD block's scaled dual is -(U_el + C), C =
+    # count * E + scatter(beta) the working cuts' duals summed into a matrix,
+    # zero without working cuts: neither is part of the state.  C is carried
+    # through the plain step and recomputed whenever acceleration or a new
+    # working set moves the state
     x, y = sp.state(wc.size), sp.state(wc.size)
     x[1][...] = X0
-    U_psd = np.zeros((n, n))
     last = x
+    C = np.zeros((n, n))
+    # the step's scratch matrices, allocated once per solve
+    D, zn_psd, zn_el, T = (np.empty((n, n)) for _ in range(4))
 
     def proj_el(V):
         d = V.reshape(-1)[:: n + 1]
@@ -740,12 +777,9 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             d += (sp.trace - d.sum()) / n
         if floor is not None:
             np.maximum(V, floor, out=V)
-        return V
 
-    def recover_u_psd(U_el, E, beta):
-        np.negative(U_el, out=U_psd)
-        if wc.size:
-            np.subtract(U_psd, wc.count * E + wc.scatter(beta), out=U_psd)
+    def dual_sum(E, beta):
+        np.add(np.multiply(wc.count, E, out=C), wc.scatter(beta), out=C)
 
     aa = _Anderson(n, wc)
 
@@ -757,27 +791,55 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         xb, X, U_el, E, beta = x
         yb, Xn, U_eln, En, betan = y
         last = y
-        X_rel = (1 - alpha) * X
-        w, Q = np.linalg.eigh(X - U_psd - shift)
+        # the PSD block projects X - U_psd = X + U_el + C onto the cone
+        np.add(X, U_el, out=D)
+        if wc.size:
+            D += C
+        if shift:
+            D -= shift
+        w, Q = _eigh(D)
         Q *= np.sqrt(np.maximum(w, 0.0))
-        zn_psd = Q @ Q.T + shift  # a symmetric rank-k update: exactly symmetric
+        np.matmul(Q, Q.T, out=zn_psd)  # a symmetric rank-k update: exactly symmetric
+        if shift:
+            zn_psd += shift
         # the linear objective rides in the elementwise prox as a shift
-        zn_el = proj_el(X - U_el + g_rho)
+        np.subtract(X, U_el, out=zn_el)
+        zn_el += g_rho
+        proj_el(zn_el)
 
-        U_sum = U_psd + U_el
-        acc = alpha * (zn_psd + zn_el) + 2 * X_rel + U_sum
+        # the consensus average, with T = (1 - alpha) X:
+        # deg Xn = alpha (zn_psd + zn_el) + 2 T + count X - alpha (C + scatter(lam))
+        np.multiply(X, 1 - alpha, out=T)
+        np.add(zn_psd, zn_el, out=Xn)
+        Xn *= alpha
+        Xn += T
+        Xn += T
         if wc.size:
             # cut c's block projects X[pairs_c] minus its dual onto its
             # halfspace, moving it by -lam_c coef_c
-            viol = wc.apply(X - E) - beta * wc.normsq - wc.rhs
+            viol = wc.apply(np.subtract(X, E, out=D)) - beta * wc.normsq - wc.rhs
             lam = np.maximum(viol, 0.0) / wc.normsq
-            acc += wc.count * X - (1 - alpha) * U_sum - alpha * wc.scatter(lam)
-        np.divide(acc, deg, out=Xn)
-        U_psd += alpha * zn_psd + X_rel - Xn
-        np.subtract(alpha * zn_el + X_rel + U_el, Xn, out=U_eln)
+            P = wc.scatter(lam)
+            P += C
+            P *= alpha
+            Xn += np.multiply(wc.count, X, out=D)
+            Xn -= P
+            Xn /= deg
+        else:
+            Xn *= 0.5
+        np.multiply(zn_el, alpha, out=U_eln)
+        U_eln += T
+        U_eln += U_el
+        U_eln -= Xn
         if wc.size:
-            np.add((1 - alpha) * E, X - Xn, out=En)
+            np.subtract(X, Xn, out=T)
+            np.multiply(E, 1 - alpha, out=En)
+            En += T
             np.subtract((1 - alpha) * beta, alpha * lam, out=betan)
+            # C <- (1 - alpha) C + count (X - Xn) - alpha scatter(lam), that of y
+            T *= wc.count
+            C += T
+            C -= P
 
         if _check_at(it):
             r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
@@ -822,12 +884,13 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                     _, X, U_el, E, beta = last = x
                     X[...], U_el[...], E[...] = Xn, U_eln, En
                     beta[kept] = betan
-                    recover_u_psd(U_el, E, beta)
+                    dual_sum(E, beta)
                     aa.layout(wc)
                     continue
 
         if aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
-            recover_u_psd(U_el, E, beta)
+            if wc.size:
+                dual_sum(E, beta)
             continue
         x, y = y, x
 
@@ -870,7 +933,11 @@ def _dual_bound(sp: _SolverSpace, cuts: _Cuts, Y_el: np.ndarray, Y_E, Y_beta, G)
     multiplier Y_E[pairs_c] + Y_beta_c coef_c (rho E and rho beta: the
     factored form ``solve`` keeps); every other cut enters with mu_c = 0.
     The shift t adds n eps |S|_F to the computed -lambda_min(S), covering
-    its rounding, of the order of eps |S| for a backward-stable eigensolver.
+    its rounding, of the order of eps |S| for a backward-stable eigensolver,
+    and the value is padded by (n^2 + #cuts) eps times the magnitudes of its
+    terms, covering the rounding of its sums: a solve converged to machine
+    precision otherwise reads a bound a few ulps either side of its
+    objective.
     B is the solver's floor: without one (none, or one the cone implies) M
     is zero and the bound is that of the relaxation without B, whose
     optimum is the same.  With ``G`` = 0 and the multipliers' step for
@@ -878,15 +945,18 @@ def _dual_bound(sp: _SolverSpace, cuts: _Cuts, Y_el: np.ndarray, Y_E, Y_beta, G)
     certificate: no feasible Y exists.
     """
     n = sp.n
+    # ``scale`` sums the magnitudes of the bound's terms, for its rounding
     if sp.diag is not None:
         nu = -np.diag(Y_el)
         S = np.diag(nu) - G
         value = float(nu @ sp.diag)
+        scale = float(np.abs(nu) @ np.abs(sp.diag))
         dsum = float(np.sum(sp.diag))
     else:
         nu0 = -float(np.trace(Y_el)) / n
         S = nu0 * np.eye(n) - G
         value = nu0 * sp.trace
+        scale = abs(value)
         dsum = sp.trace
     if sp.floor is not None:
         # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where
@@ -895,6 +965,7 @@ def _dual_bound(sp: _SolverSpace, cuts: _Cuts, Y_el: np.ndarray, Y_E, Y_beta, G)
         M_hat = np.clip(Y_el[off], 0.0, None)
         S[off] -= M_hat
         value -= float(M_hat @ sp.floor[off])
+        scale += float(M_hat @ np.abs(sp.floor[off]))
 
     # cut c is sum_p coef_p Y_p <= rhs with A_c holding coef_p / 2 at (i, j)
     # and (j, i); its two-sided entries double the multiplier formula, and
@@ -902,11 +973,16 @@ def _dual_bound(sp: _SolverSpace, cuts: _Cuts, Y_el: np.ndarray, Y_E, Y_beta, G)
     if cuts.size:
         mu = np.clip(-2.0 * (cuts.apply(Y_E) / cuts.normsq + Y_beta), 0.0, None)
         value += float(mu @ cuts.rhs)
+        scale += float(mu @ np.abs(cuts.rhs))
         S += 0.5 * cuts.scatter(mu)
 
     eps = float(np.finfo(float).eps)
     t = max(0.0, n * eps * float(np.linalg.norm(S)) - float(np.linalg.eigvalsh(S)[0]))
-    return value + t * (dsum - n * sp.shift) - sp.shift * float(S.sum())
+    value += t * (dsum - n * sp.shift) - sp.shift * float(S.sum())
+    scale += abs(t * (dsum - n * sp.shift)) + sp.shift * float(np.abs(S).sum())
+    # each sum rounds by at most its length times eps times its terms'
+    # magnitudes: pad by that, so the float bound stays above the exact one
+    return value + (n * n + cuts.size) * eps * scale
 
 
 @dataclass(frozen=True)

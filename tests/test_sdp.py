@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from kcut.acceptance import _dominance_corpus
+from kcut.acceptance import _dominance_corpus, _random_graph
 from kcut.errors import CapExceeded
 from kcut.graphs import Graph, Partition, named_graph
 from kcut.hamming import hamming_graph
-from kcut.oracle import brute_force_maxkcut
+from kcut.oracle import brute_force_maxkcut, hyperplane_round
 from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
     Cut,
@@ -374,6 +374,44 @@ def test_dominance_tail_certifies_quickly():
     # 24,025-iteration drift it showed with the cone substituted away
     sol = solve(build(_dominance_corpus()[6], 4, RelaxationKind.MAIN_SDP))
     assert sol.status == "optimal" and sol.iterations <= 2_000
+
+
+@pytest.mark.parametrize("kind", [RelaxationKind.MAIN_SDP, RelaxationKind.FRIEZE_JERRUM])
+def test_small_random_solve_certifies_within_400_iterations(kind):
+    # the fifth G(n, 1/2) draw from PCG64(1) over n = 6..10, a G(10, 1/2), at
+    # k = 3: 650 (main_sdp) and 750 (frieze_jerrum) iterations with a 10-deep
+    # Anderson history, 325 each with a 20-deep one
+    rng = np.random.Generator(np.random.PCG64(1))
+    for n in range(6, 11):
+        g = _random_graph(n, 0.5, rng)
+    sol = solve(build(g, 3, kind))
+    assert sol.status == "optimal" and sol.iterations <= 400
+
+
+def test_projection_survives_an_eigensolver_failure(monkeypatch):
+    # LAPACK's eigh has failed to converge on a finite, exactly symmetric
+    # matrix near Coxeter's distance algebra; the PSD projection and the
+    # rounding's factorization then decompose the reversed matrix, an exact
+    # permutation similarity, and go on
+    g = named_graph("petersen")
+    model = build(g, 3, RelaxationKind.MAIN_SDP)
+    ref = solve(model)
+    ref_cut = hyperplane_round(ref, g, 3, seed=5)[1]
+    eigh, calls = np.linalg.eigh, []
+
+    def fails_once(M, at):
+        calls.append(None)
+        if len(calls) == at:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: fails_once(M, at=10))
+    sol = solve(model)
+    assert len(calls) > 10 and sol.status == "optimal"
+    assert abs(sol.objective_value - ref.objective_value) <= 1e-6
+    calls.clear()
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: fails_once(M, at=1))
+    assert hyperplane_round(ref, g, 3, seed=5)[1] == ref_cut and len(calls) == 2
 
 
 def _traced_peak(fn):
