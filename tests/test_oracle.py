@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kcut.oracle
 from conftest import random_graph, random_weighted_graph
 from kcut.graphs import Graph, Partition, cut_weight, named_graph
 from kcut.oracle import (
+    DEFAULT_STATE_CAP,
     GapReport,
     WorkCapExceeded,
     brute_force_maxkcut,
@@ -15,6 +17,9 @@ from kcut.oracle import (
     enumeration_states,
     gap_report,
     hyperplane_round,
+    _half,
+    _split,
+    _tabulated,
 )
 from kcut.relaxations import RelaxationKind, build
 from kcut.sdp import SdpSolution, SolverOptions, solve
@@ -134,6 +139,9 @@ def test_edge_cases():
     part, val = brute_force_maxkcut(one, 1)
     assert val == 0.0 and part.assignment.tolist() == [0]
     assert len(brute_force_table(one, 4)) == 2  # kmax clipped to n
+    for kmax in (0, -1):
+        with pytest.raises(ValueError, match="kmax >= 1"):
+            brute_force_table(one, kmax)
     two = Graph(n=2, weights=np.array([[0.0, 3.0], [3.0, 0.0]]))
     assert brute_force_maxkcut(two, 1)[1] == 0.0
     part, val = brute_force_maxkcut(two, 2)
@@ -172,6 +180,70 @@ def test_table_memory_is_bounded():
         tracemalloc.stop()
     assert table[12][0] == 66.0
     assert peak <= 64 * 2**20
+
+
+def test_table_memory_follows_the_split():
+    # split at a = 8: 4,140 + 17,244 tabulated rows against 281,175 at a = 6
+    g = named_graph("complete", (12,))
+    tracemalloc.start()
+    try:
+        brute_force_table(g, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def _real_weighted_graph(n, rng):
+    W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.7), 1)
+    return Graph(n=n, weights=W + W.T)
+
+
+def test_table_values_are_cut_weights(rng):
+    # on real weights the GEMM's sums round with the split; the reported
+    # value is cut_weight of the reported partition
+    for n in (7, 9, 11):
+        g = _real_weighted_graph(n, rng)
+        table = brute_force_table(g, 5)
+        for val, part in table[1:]:
+            assert val == cut_weight(g, part)
+
+
+def test_table_does_not_depend_on_the_split(rng, monkeypatch):
+    for n in range(2, 10):
+        kmax = min(n, 5)
+        g, real = random_weighted_graph(n, 0.6, rng), _real_weighted_graph(n, rng)
+        ref, ref_real = reference_table(g, kmax), reference_table(real, kmax)
+        for a in range(1, n):
+            monkeypatch.setattr(kcut.oracle, "_split", lambda n, kmax, a=a: a)
+            table, table_real = brute_force_table(g, kmax), brute_force_table(real, kmax)
+            for j in range(1, kmax + 1):
+                assert table[j][0] == ref[j][0], (n, a, j)
+                assert np.array_equal(table[j][1].assignment, ref[j][1]), (n, a, j)
+                assert np.array_equal(table_real[j][1].assignment, ref_real[j][1]), (n, a, j)
+
+
+def test_tabulated_counts_the_half_tables():
+    for n in range(1, 9):
+        W = np.zeros((n, n))
+        for kmax in range(1, n + 1):
+            rows = _tabulated(n, kmax)
+            for a in range(1, n + 1):
+                count = _half(W[:a, :a], 0, kmax)[0].shape[0] + sum(
+                    _half(W[a:, a:], j, kmax)[0].shape[0] for j in range(1, min(a, kmax) + 1))
+                assert rows[a] == count, (n, kmax, a)
+
+
+def test_split_tabulates_no_more_than_the_middle():
+    for n in range(1, 65):
+        for kmax in range(1, n + 1):
+            if enumeration_states(n, kmax) > DEFAULT_STATE_CAP:
+                break
+            a, rows = _split(n, kmax), _tabulated(n, kmax)
+            assert 1 <= a <= max(n - 1, 1)
+            assert rows[a] <= rows[(n + 1) // 2], (n, kmax)
+    assert _split(29, 2) == 15  # k = 2 ties keep ceil(n/2)
+    assert _split(12, 12) == 8
 
 
 def test_hyperplane_round_pentagon():
