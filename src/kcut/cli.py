@@ -35,13 +35,14 @@ class CliError(Exception):
 def _load_solver_options(path):
     from .sdp import SolverOptions
 
-    opts = SolverOptions()
     if path is None:
-        return opts
+        return SolverOptions()
     try:
         lines = open(path).read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_PARSE) from exc
+    defaults = vars(SolverOptions())
+    values = {}
     for no, raw in enumerate(lines, 1):
         ln = raw.split("#", 1)[0].strip()
         if not ln:
@@ -49,14 +50,16 @@ def _load_solver_options(path):
         if "=" not in ln:
             raise CliError(f"{path}:{no}: expected key=value", EXIT_PARSE)
         key, val = (t.strip() for t in ln.split("=", 1))
-        if not hasattr(opts, key):
+        if key not in defaults:
             raise CliError(f"{path}:{no}: unknown solver option {key!r}", EXIT_PARSE)
-        cur = getattr(opts, key)
         try:
-            setattr(opts, key, type(cur)(val))
+            values[key] = type(defaults[key])(val)
         except ValueError as exc:
             raise CliError(f"{path}:{no}: bad value for {key}: {val!r}", EXIT_PARSE) from exc
-    return opts
+    try:
+        return SolverOptions(**values)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
 def _load_graph(args):

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CapExceeded
+
 __all__ = [
     "Graph",
     "LaplacianView",
@@ -26,6 +28,9 @@ __all__ = [
     "write_graph",
     "connected_components",
 ]
+
+
+VERTEX_CAP = 4096  # the most vertices a named family may have
 
 
 class GraphFormatError(ValueError):
@@ -193,9 +198,17 @@ def _weights_from_edges(n, edges):
     return W
 
 
+def _check_vertices(n: int, label: str):
+    """Refuse a named family of more than VERTEX_CAP vertices before any of
+    it is built."""
+    if n > VERTEX_CAP:
+        raise CapExceeded(f"{label} has {n} vertices, above the cap {VERTEX_CAP}")
+
+
 def _complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_vertices(n, f"K_{n}")
     W = 1.0 - np.eye(n)
     spec = ((0.0, 1), (float(n), n - 1)) if n > 1 else ((0.0, 1),)
     return Graph(n=n, weights=W, name=f"K_{n}", exact_laplacian_spectrum=spec)
@@ -205,6 +218,7 @@ def _complete_multipartite(k: int, m: int) -> Graph:
     if k < 1 or m < 1:
         raise ValueError("complete multipartite needs k >= 1 and m >= 1")
     n = k * m
+    _check_vertices(n, f"K_{k}x{m}")
     part = np.repeat(np.arange(k), m)
     W = (part[:, None] != part[None, :]).astype(float)
     if k == 1:
@@ -222,6 +236,7 @@ def _complete_multipartite(k: int, m: int) -> Graph:
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_vertices(n, f"C_{n}")
     W = np.zeros((n, n))
     idx = np.arange(n)
     W[idx, (idx + 1) % n] = 1.0
@@ -241,6 +256,10 @@ def _cycle(n: int) -> Graph:
 def _kneser(nn: int, s: int) -> Graph:
     if s < 1 or 2 * s > nn:
         raise ValueError("kneser needs 1 <= s and 2s <= n")
+    # C(nn, s) >= nn: not counted above the cap, since C(10^6, 5 10^5) alone
+    # takes seconds
+    if nn > VERTEX_CAP or math.comb(nn, s) > VERTEX_CAP:
+        raise CapExceeded(f"K({nn},{s}) has C({nn},{s}) vertices, above the cap {VERTEX_CAP}")
     subsets = list(itertools.combinations(range(nn), s))
     n = len(subsets)
     masks = [sum(1 << e for e in sub) for sub in subsets]
@@ -292,7 +311,7 @@ def named_graph(name: str, params: tuple[int, ...] | list[int] = ()) -> Graph:
     if name == "hamming":
         from .hamming import hamming_graph
 
-        return hamming_graph(*params)
+        return hamming_graph(*params, cap=VERTEX_CAP)
     raise ValueError(f"unknown graph family {name!r}")
 
 

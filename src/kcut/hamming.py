@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .errors import CapExceeded
-from .graphs import Graph, Partition, cut_weight
+from .graphs import VERTEX_CAP, Graph, Partition, cut_weight
 
 __all__ = [
     "KravchukTable",
@@ -32,8 +32,6 @@ __all__ = [
     "first_coordinate_qcut",
     "hamming_tightness_certificate",
 ]
-
-HAMMING_VERTEX_CAP = 4096
 
 
 class HammingHypothesisError(ValueError):
@@ -111,7 +109,7 @@ def _digit_matrix(d: int, q: int) -> np.ndarray:
     return digs
 
 
-def hamming_graph(d: int, q: int, j: int, cap: int = HAMMING_VERTEX_CAP) -> Graph:
+def hamming_graph(d: int, q: int, j: int, cap: int = VERTEX_CAP) -> Graph:
     """Graph H(d,q,j) on q^d vertices: adjacency = differing in exactly j
     coordinates.  Regular of degree C(d,j)(q-1)^j; the exact Laplacian
     spectrum {K_j(0) - K_j(i)} is attached for use as an eigensolver check.
@@ -120,9 +118,11 @@ def hamming_graph(d: int, q: int, j: int, cap: int = HAMMING_VERTEX_CAP) -> Grap
         raise ValueError("need 1 <= j <= d")
     if q < 2:
         raise ValueError("alphabet size q must be >= 2")
+    # q^d >= 2^d > cap once d reaches cap's bit length: not counted, since
+    # 3^(10^7) alone takes seconds
+    if d >= cap.bit_length() or q**d > cap:
+        raise CapExceeded(f"H({d},{q},{j}) has {q}^{d} vertices, above the cap {cap}")
     n = q**d
-    if n > cap:
-        raise CapExceeded(f"H({d},{q},{j}) has {n} vertices, above the cap {cap}")
     digs = _digit_matrix(d, q)
     diff = np.zeros((n, n), dtype=np.int64)
     for t in range(d):
@@ -214,7 +214,7 @@ def conjecture_grid(dmax: int, qmax: int) -> list[ConjectureReport]:
 
 
 def first_coordinate_qcut(
-    d: int, q: int, j: int, cap: int = HAMMING_VERTEX_CAP
+    d: int, q: int, j: int, cap: int = VERTEX_CAP
 ) -> tuple[Partition, int]:
     """The q-cut of H(d,q,j) that splits vertices by their first coordinate.
 
@@ -263,7 +263,7 @@ def hamming_tightness_certificate(
     j: int,
     solve_k: tuple[int, ...] = (),
     solver_options=None,
-    cap: int = HAMMING_VERTEX_CAP,
+    cap: int = VERTEX_CAP,
 ) -> TightnessReport:
     """Certify max-q-cut tightness of the eigenvalue bound for H(d,q,j).
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .graphs import Graph, laplacian
-from .sdp import Cut, CutList, SdpModel, SdpSolution, SolverOptions, _Cuts, solve
+from .sdp import CutList, SdpModel, SdpSolution, SolverOptions, _Cuts, solve
 
 __all__ = [
     "RelaxationKind",
@@ -118,9 +118,9 @@ def triangle_cuts(n: int) -> CutList:
 
 
 def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
-                       violation_tol: float = 1e-5) -> list[Cut]:
+                       violation_tol: float = 1e-5) -> CutList:
     """The most violated triangle inequalities at Y, sorted by violation
-    (descending), ties broken lexicographically by (apex, j, k).
+    (descending), ties broken lexicographically by (apex, j, k), in one block.
 
     One apex at a time, keeping the best ``max_cuts`` so far: O(n^2 +
     max_cuts) memory."""
@@ -138,7 +138,7 @@ def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
     i, j, k = ijk = best[1:].astype(np.int64)
     apex = np.add(i > j, i > k, dtype=np.int64)  # the position of i in its triple
     T = np.sort(ijk.T, axis=1)
-    return list(_triangles(T[np.arange(len(T))[:, None, None], _APEX_PAIRS[apex]]))
+    return _triangles(T[np.arange(len(T))[:, None, None], _APEX_PAIRS[apex]])
 
 
 def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> CutList:

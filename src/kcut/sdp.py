@@ -4,10 +4,11 @@ The model class is deliberately narrow: maximize a scaled trace objective
 subject to a diagonal or trace equality, a PSD or shifted-PSD cone
 constraint, an optional elementwise lower bound, and optional sparse linear
 cuts.  That covers every relaxation in this package while keeping the solver
-self-contained.  The cuts are a ``CutList``: a generated family is one block
-of arrays, validated once, and the solver's cut operator (``_Cuts``) is
-built by concatenating the blocks' arrays, reading ``Cut`` objects only for
-cuts added one at a time.
+self-contained.  The cuts are a ``CutList`` of array blocks, from
+generation to the solver: a generated family is one block, validated once,
+a cut added one at a time a one-row block.  The solver's cut operator
+(``_Cuts``) numbers the cuts as the CutList does, each run of blocks of one
+arity concatenated into one group.
 
 Algorithm: operator splitting in consensus form, in the model's own
 coordinates.  Both cones are Y - s J >= 0, with the scalar shift s = 1/k for
@@ -109,7 +110,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -160,51 +161,23 @@ class Cut:
         return float(sum(c * Y[i, j] for (i, j), c in zip(self.pairs, self.coeffs)))
 
 
-class _CutBlock:
-    """m cuts of one arity a as read-only arrays: ``pairs`` (m, a, 2),
-    ``coeffs`` (m, a) and ``rhs`` (m,)."""
-
-    __slots__ = ("pairs", "coeffs", "rhs")
-
-    def __init__(self, pairs: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray):
-        self.pairs, self.coeffs, self.rhs = pairs.view(), coeffs.view(), rhs.view()
-        for a in (self.pairs, self.coeffs, self.rhs):
-            a.setflags(write=False)
-
-    @classmethod
-    def of_cuts(cls, cuts: list[Cut]) -> _CutBlock:
-        return cls(np.array([c.pairs for c in cuts], np.int64),
-                   np.array([c.coeffs for c in cuts], float),
-                   np.array([c.rhs for c in cuts], float))
-
-    def __len__(self) -> int:
-        return self.rhs.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _CutBlock(self.pairs[index], self.coeffs[index], self.rhs[index])
-        return Cut(pairs=tuple(map(tuple, self.pairs[index].tolist())),
-                   coeffs=tuple(self.coeffs[index].tolist()), rhs=float(self.rhs[index]))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
 class CutList(Sequence):
-    """A sequence of cuts kept as blocks of arrays, so that a generated
-    family of a million cuts is a few arrays rather than a million objects.
+    """A sequence of cuts kept as read-only blocks of arrays, ``pairs`` (m,
+    a, 2), ``coeffs`` (m, a) and ``rhs`` (m,) for m cuts of one arity a, so
+    that a generated family of a million cuts is a few arrays rather than a
+    million objects.
 
     ``from_arrays`` makes one block out of a whole family, validated once
-    with the checks ``Cut`` makes one cut at a time.  ``append`` and
-    ``extend`` take single ``Cut`` objects, kept as they are in runs of one
-    arity; ``extend`` with another CutList shares its blocks.  Indexing and
-    iteration yield ``Cut`` objects, slicing and ``+`` give CutLists, and a
-    CutList equals any list or CutList holding the same cuts in the same
-    order.  ``blocks`` reads the cuts back as arrays, block by block.
+    with the checks ``Cut`` makes one cut at a time.  ``append`` adds a
+    ``Cut`` as a one-row block, ``extend`` takes ``Cut`` objects or another
+    CutList, whose blocks it shares.  Indexing and iteration yield ``Cut``
+    objects, slicing and ``+`` give CutLists, and a CutList equals any list
+    or CutList holding the same cuts in the same order.  ``blocks`` yields
+    the (pairs, coeffs, rhs) arrays, block by block, in order.
     """
 
     def __init__(self, cuts=()):
-        self._parts: list[_CutBlock | list[Cut]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._len = 0
         self.extend(cuts)
 
@@ -233,45 +206,43 @@ class CutList(Sequence):
         if zero.any():
             raise ValueError("cut coeffs must not all be zero")
         out = cls()
-        out._add(_CutBlock(P, C, b))
+        out._add(P, C, b)
         return out
 
-    def _add(self, part):
-        if len(part):
-            self._parts.append(part)
-            self._len += len(part)
+    def _add(self, P: np.ndarray, C: np.ndarray, b: np.ndarray):
+        if b.size:
+            block = P.view(), C.view(), b.view()
+            for a in block:
+                a.setflags(write=False)
+            self._blocks.append(block)
+            self._len += b.size
 
     def append(self, cut: Cut):
         if not isinstance(cut, Cut):
             raise TypeError(f"expected a Cut, got {type(cut).__name__}")
-        last = self._parts[-1] if self._parts else None
-        if isinstance(last, list) and len(last[0].pairs) == len(cut.pairs):
-            last.append(cut)
-            self._len += 1
-        else:
-            self._add([cut])
+        self._add(np.array([cut.pairs], np.int64), np.array([cut.coeffs], float),
+                  np.array([cut.rhs], float))
 
     def extend(self, cuts):
         if isinstance(cuts, CutList):
-            for part in list(cuts._parts):  # ``cuts`` may be self
-                self._add(part if isinstance(part, _CutBlock) else list(part))
+            for block in list(cuts._blocks):  # ``cuts`` may be self
+                self._add(*block)
         else:
             for cut in cuts:
                 self.append(cut)
 
     def blocks(self):
         """(pairs, coeffs, rhs) arrays per block, in order, each of one
-        arity; a run of appended cuts is read into arrays here."""
-        for part in self._parts:
-            blk = part if isinstance(part, _CutBlock) else _CutBlock.of_cuts(part)
-            yield blk.pairs, blk.coeffs, blk.rhs
+        arity."""
+        return iter(self._blocks)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
-        for part in self._parts:
-            yield from part
+        for P, C, b in self._blocks:
+            for pairs, coeffs, rhs in zip(P.tolist(), C.tolist(), b.tolist()):
+                yield Cut(pairs=tuple(map(tuple, pairs)), coeffs=tuple(coeffs), rhs=rhs)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -279,16 +250,14 @@ class CutList(Sequence):
             if step != 1:
                 return CutList([self[i] for i in range(start, stop, step)])
             out, lo = CutList(), 0
-            for part in self._parts:
-                hi = lo + len(part)
-                out._add(part[max(start - lo, 0):max(min(stop, hi) - lo, 0)])
+            for block in self._blocks:
+                hi = lo + block[2].size
+                rows = slice(max(start - lo, 0), max(min(stop, hi) - lo, 0))
+                out._add(*(a[rows] for a in block))
                 lo = hi
             return out
         i = range(self._len)[index]  # IndexError out of range, negatives wrap
-        for part in self._parts:
-            if i < len(part):
-                return part[i]
-            i -= len(part)
+        return next(iter(self[i:i + 1]))
 
     def __add__(self, other) -> CutList:
         out = CutList(self)
@@ -308,7 +277,7 @@ class CutList(Sequence):
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"CutList({self._len} cuts in {len(self._parts)} blocks)"
+        return f"CutList({self._len} cuts in {len(self._blocks)} blocks)"
 
 
 @dataclass
@@ -374,6 +343,15 @@ class SolverOptions:
     max_iter: int = 200_000
     n_cap: int = 500
 
+    def __post_init__(self):
+        for name in ("tol_eq", "tol_psd", "tol_gap"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        for name in ("max_iter", "n_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+
 
 _ALPHA = 1.6  # over-relaxation
 _CHECK_EVERY = 25  # iterations between full checks
@@ -405,28 +383,28 @@ class SdpSolution:
 
 class _Cuts:
     """The model's cuts as one linear operator A, A(M)_c = sum_p coef_p
-    M[i_p, j_p] over cut c's upper-triangle pairs.
+    M[i_p, j_p] over cut c's upper-triangle pairs, the cuts numbered as in
+    the CutList.
 
-    Cuts are grouped by arity a, each group holding its flat positions
-    i*n + j and its coefficients as (a, C_a) arrays, column c for one cut,
-    so that applying a group reads one contiguous row per term.  Cuts are
-    numbered in group order; ``order`` maps that numbering to the order of
-    the CutList.  ``count`` holds the number of cut entries at each matrix
-    entry, on both (i, j) and (j, i).  ``_Cuts.of(n, cuts)`` builds the
-    operator of a CutList, concatenating its blocks' arrays arity by arity,
+    A group is a run of consecutive cuts of one arity a, holding its flat
+    positions i*n + j and its coefficients as (a, m) arrays, column c for
+    one cut, so that applying a group reads one contiguous row per term.
+    ``count`` holds the number of cut entries at each matrix entry, on both
+    (i, j) and (j, i).  ``_Cuts.of(n, cuts)`` builds the operator of a
+    CutList, each run of its blocks of one arity concatenated into a group,
     and ``take`` that of some of its cuts.  ``of`` checks every pair index
     against n, since cuts appended to ``model.cuts`` after construction skip
     the model's own check.
     """
 
-    def __init__(self, n: int, groups, rhs: np.ndarray, order: np.ndarray):
-        self.n, self.rhs, self.order, self.size = n, rhs, order, rhs.size
+    def __init__(self, n: int, groups, rhs: np.ndarray):
+        self.n, self.rhs, self.size = n, rhs, rhs.size
         self.groups, start = [], 0
         for IDX, COEF in groups:
             m = IDX.shape[1]
             self.groups.append((slice(start, start + m), IDX, COEF))
             start += m
-        self.normsq = np.concatenate([np.zeros(0)] + [np.einsum("ac,ac->c", COEF, COEF)
+        self.normsq = np.concatenate([np.zeros(0)] + [(COEF * COEF).sum(axis=0)
                                                       for _, _, COEF in self.groups])
         T = np.bincount(np.concatenate([np.zeros(0, np.int64)]
                                        + [IDX.ravel() for _, IDX, _ in self.groups]),
@@ -435,35 +413,33 @@ class _Cuts:
 
     @classmethod
     def of(cls, n: int, cuts: CutList) -> _Cuts:
-        blocks = list(cuts.blocks())
-        arity = np.concatenate([np.zeros(0, np.int64)]
-                               + [np.full(b.size, P.shape[1]) for P, _, b in blocks])
         groups, rhs = [], [np.zeros(0)]
-        for a in sorted({P.shape[1] for P, _, _ in blocks}):
-            same = [blk for blk in blocks if blk[0].shape[1] == a]
-            P, C, b = (np.concatenate(parts) for parts in zip(*same))
+        for _, run in groupby(cuts.blocks(), key=lambda block: block[0].shape[1]):
+            P, C, b = (np.concatenate(parts) for parts in zip(*run))
             if P[..., 1].max() >= n:
                 raise ValueError(f"cut pair index {P[..., 1].max()} out of range for n={n}")
             groups.append(((P[..., 0] * n + P[..., 1]).T.copy(), C.T.copy()))
             rhs.append(b)
-        return cls(n, groups, np.concatenate(rhs), np.argsort(arity, kind="stable"))
+        return cls(n, groups, np.concatenate(rhs))
 
     def take(self, sel: np.ndarray) -> _Cuts:
-        """The operator of the cuts ``sel``, ascending in this operator's
-        numbering, numbered in that order: each group's columns sliced."""
+        """The operator of the cuts ``sel``, ascending, numbered in that
+        order: each group's columns sliced."""
         groups = []
         for sl, IDX, COEF in self.groups:
             lo, hi = np.searchsorted(sel, (sl.start, sl.stop))
             if lo < hi:
                 cols = sel[lo:hi] - sl.start
                 groups.append((IDX[:, cols], COEF[:, cols]))
-        return _Cuts(self.n, groups, self.rhs[sel], self.order[sel])
+        return _Cuts(self.n, groups, self.rhs[sel])
 
     def apply(self, M: np.ndarray) -> np.ndarray:
-        """A(M): every cut's value at M, read from M's upper triangle."""
+        """A(M): every cut's value at M, read from M's upper triangle.  Each
+        cut is summed term by term, so its value does not depend on which
+        other cuts share its group."""
         flat, out = M.reshape(-1), np.empty(self.size)
         for sl, IDX, COEF in self.groups:
-            out[sl] = np.einsum("ac,ac->c", COEF, flat[IDX])
+            out[sl] = (COEF * flat[IDX]).sum(axis=0)
         return out
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
@@ -510,8 +486,7 @@ def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts, eig_within: float | 
         excess = model.elementwise_lower - Y
         np.fill_diagonal(excess, 0.0)  # the diagonal is the equality's
         low = max(float(np.max(excess)), 0.0)
-    viol = np.empty(cuts.size)
-    viol[cuts.order] = cuts.apply(Y) - cuts.rhs
+    viol = cuts.apply(Y) - cuts.rhs
     cut = max(float(viol.max(initial=0.0)), 0.0)
     eig = math.nan
     if eig_within is None or max(eq, low, cut) <= eig_within:
@@ -752,7 +727,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
 
     X0 = np.full((n, n), shift)
     np.fill_diagonal(X0, 1.0)  # the barycentre (1 - s) I + s J
-    working = cuts.apply(X0) - cuts.rhs > opts.tol_eq  # in ``cuts``' numbering
+    working = cuts.apply(X0) - cuts.rhs > opts.tol_eq
     wc = cuts.take(np.flatnonzero(working))
     deg = 2.0 + wc.count
     # x is the iterate, y = T(x) the plain ADMM step from it; E and beta
@@ -871,7 +846,7 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
                     status = "infeasible"
                     break
-                new = (cut_viol[cuts.order] > opts.tol_eq) & ~working
+                new = (cut_viol > opts.tol_eq) & ~working
                 if new.any():
                     # the plain step carries over into the grown working set:
                     # a new cut's dual starts at E[pairs_c] (beta_c = 0), the
@@ -1050,11 +1025,10 @@ def dump_model(model: SdpModel, stream=None) -> str:
         for row in model.elementwise_lower:
             w(" ".join(f"{v:.17g}" for v in row) + "\n")
     w(f"cuts {len(model.cuts)}\n")
-    for cut in model.cuts:
-        trip = " ".join(
-            f"{i} {j} {c:.17g}" for (i, j), c in zip(cut.pairs, cut.coeffs)
-        )
-        w(f"cut {cut.rhs:.17g} {len(cut.pairs)} {trip}\n")
+    for P, C, b in model.cuts.blocks():
+        for pairs, coeffs, rhs in zip(P.tolist(), C.tolist(), b.tolist()):
+            trip = " ".join(f"{i} {j} {c:.17g}" for (i, j), c in zip(pairs, coeffs))
+            w(f"cut {rhs:.17g} {len(pairs)} {trip}\n")
     text = out.getvalue()
     if stream is not None:
         stream.write(text)

@@ -129,8 +129,12 @@ def test_exit_code_k_out_of_range(tmp_path, capsys, argv):
     ({}, ("exact", "--family", "hamming", "4", "3", "1", "--k", "3"), EXIT_CAP),
     ({}, ("bound", "--family", "complete", "127", "--k", "2",
           "--method", "sdp+triangles"), EXIT_CAP),
+    ({"nan.cfg": "tol_gap = nan\n"}, ("bound", "--family", "cycle", "5", "--k", "2",
+                                     "--method", "sdp", "--config", "nan.cfg"), EXIT_PARSE),
+    ({"iter.cfg": "max_iter = -3\n"}, ("bound", "--family", "cycle", "5", "--k", "2",
+                                      "--method", "sdp", "--config", "iter.cfg"), EXIT_PARSE),
 ], ids=["empty", "header_0_1", "n1_k2", "edgeless_sdp", "config_n_cap", "exact_over_cap",
-        "triangles_over_cap"])
+        "triangles_over_cap", "config_nan_tol_gap", "config_negative_max_iter"])
 def test_failure_contract(tmp_path, capsys, files, argv, want):
     # each input maps to its exit code; a failure prints exactly one error
     # line, so no traceback (an escaping exception fails the test)

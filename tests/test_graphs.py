@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, random_weighted_graph
+from kcut.errors import CapExceeded
 from kcut.graphs import (
     Graph,
     GraphFormatError,
@@ -106,6 +107,20 @@ def test_named_graphs():
         named_graph("mystery")
     with pytest.raises(ValueError):
         named_graph("kneser", (4, 3))  # 2s > n
+
+
+def test_named_families_share_one_vertex_cap(monkeypatch):
+    # each family counts its vertices from its parameters and refuses above
+    # the cap before building anything: K(30, 15) would list 155 M subsets
+    import kcut.graphs
+
+    monkeypatch.setattr(kcut.graphs, "VERTEX_CAP", 10)
+    assert named_graph("petersen").n == named_graph("complete", (10,)).n == 10
+    for name, params in (("kneser", (6, 2)), ("complete", (11,)), ("cycle", (11,)),
+                         ("complete_multipartite", (4, 3)), ("hamming", (2, 4, 1)),
+                         ("kneser", (10**6, 5 * 10**5)), ("hamming", (10**8, 3, 1))):
+        with pytest.raises(CapExceeded, match="above the cap 10"):
+            named_graph(name, params)
 
 
 def test_read_edge_list():

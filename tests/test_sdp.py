@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -475,24 +476,31 @@ def test_cut_violated_late_joins_the_working_set():
 
 
 def test_working_operator_slices_the_full_one():
-    # cuts of arities 6, 3 and 1, numbered by arity; a subset spanning two of
-    # the three groups
+    # cuts of arities 6, 3 and 1, numbered as in the CutList, one group per
+    # run of one arity; every nonempty selection reads exactly the full
+    # operator's values, since each cut is summed term by term whatever
+    # else shares its group
     model = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
     model.cuts.extend(independent_set_cuts(10, 3)[:4] + triangle_cuts(10)[:5]
                       + [Cut(pairs=((1, 4),), coeffs=(2.0,), rhs=0.5)])
     full = _Cuts.of(model.n, model.cuts)
-    sel = np.array([1, 2, 9])
-    part = full.take(sel)
+    assert [IDX.shape for _, IDX, _ in full.groups] == [(6, 4), (3, 5), (1, 1)]
     M = np.random.default_rng(0).random((10, 10))
+    values = full.apply(M)
+    for r in range(1, full.size + 1):
+        for sel in map(np.array, combinations(range(full.size), r)):
+            part = full.take(sel)
+            assert np.array_equal(part.apply(M), values[sel]), sel
+            assert np.array_equal(part.normsq, full.normsq[sel])
+            assert np.array_equal(part.rhs, full.rhs[sel])
+    sel = np.array([1, 2, 9])  # spanning two of the three groups
+    part = full.take(sel)
     v = np.array([0.5, -1.0, 2.0])
     w = np.zeros(full.size)
     w[sel] = v
-    assert [IDX.shape for _, IDX, _ in part.groups] == [(3, 2), (6, 1)]
-    assert np.array_equal(part.apply(M), full.apply(M)[sel])
-    assert np.array_equal(part.normsq, full.normsq[sel])
-    assert np.array_equal(part.order, full.order[sel])
+    assert [IDX.shape for _, IDX, _ in part.groups] == [(6, 2), (1, 1)]
     assert np.allclose(part.scatter(v), full.scatter(w), rtol=0, atol=1e-15)
-    assert part.count.sum() == 2 * (3 + 3 + 6)
+    assert part.count.sum() == 2 * (6 + 6 + 1)
 
 
 def test_edgeless_dual_bounds_are_nonnegative():
@@ -613,6 +621,9 @@ def test_dump_model_format():
     g = named_graph("cycle", (4,))
     model = build(g, 2, RelaxationKind.MAIN_SDP)
     model.cuts.append(Cut(pairs=((0, 1), (0, 2), (1, 2)), coeffs=(1.0, 1.0, -1.0), rhs=1.0))
+    # a family block, then a cut appended after it
+    model.cuts.extend(triangle_cuts(4))
+    model.cuts.append(Cut(pairs=((0, 3),), coeffs=(0.1,), rhs=1.0 / 3.0))
     text = dump_model(model)
     lines = text.splitlines()
     assert lines[0] == "kcut-sdp-model 1"
@@ -624,5 +635,16 @@ def test_dump_model_format():
     assert row0 == [2.0, -1.0, 0.0, -1.0]
     assert any(ln.startswith("constraint diag") for ln in lines)
     assert "cone shifted_psd 2" in lines
-    assert "cuts 1" in lines
-    assert lines[-1].startswith("cut 1 3 0 1 1 0 2 1 1 2 -1")
+    assert "cuts 14" in lines
+    cut_lines = lines[-14:]
+    assert cut_lines[0] == cut_lines[1] == "cut 1 3 0 1 1 0 2 1 1 2 -1"
+    assert cut_lines[12] == "cut 1 3 1 3 1 2 3 1 1 2 -1"
+    assert cut_lines[13] == "cut 0.33333333333333331 1 0 3 0.10000000000000001"
+    # 17 significant digits read back to the very cuts
+    parsed = []
+    for ln in cut_lines:
+        _, rhs, arity, *terms = ln.split()
+        parsed.append(Cut(pairs=tuple(zip(map(int, terms[0::3]), map(int, terms[1::3]))),
+                          coeffs=tuple(map(float, terms[2::3])), rhs=float(rhs)))
+        assert len(parsed[-1].pairs) == int(arity)
+    assert parsed == list(model.cuts)
