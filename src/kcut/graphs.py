@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-VERTEX_CAP = 4096  # the most vertices a named family may have
+VERTEX_CAP = 4096  # the most vertices a named family or a graph file may have
 
 
 class GraphFormatError(ValueError):
@@ -199,8 +199,8 @@ def _weights_from_edges(n, edges):
 
 
 def _check_vertices(n: int, label: str):
-    """Refuse a named family of more than VERTEX_CAP vertices before any of
-    it is built."""
+    """Refuse a named family or a graph file of more than VERTEX_CAP
+    vertices before any of it is built."""
     if n > VERTEX_CAP:
         raise CapExceeded(f"{label} has {n} vertices, above the cap {VERTEX_CAP}")
 
@@ -288,31 +288,40 @@ def _coxeter() -> Graph:
     return Graph(n=28, weights=W, name="Coxeter")
 
 
+def _hamming(d: int, q: int, j: int) -> Graph:
+    from .hamming import hamming_graph
+
+    return hamming_graph(d, q, j, cap=VERTEX_CAP)
+
+
+# each family's builder and the names of its parameters
+_FAMILIES = {
+    "complete": (_complete, ("n",)),
+    "complete_multipartite": (_complete_multipartite, ("k", "m")),
+    "cycle": (_cycle, ("n",)),
+    "petersen": (_petersen, ()),
+    "coxeter": (_coxeter, ()),
+    "kneser": (_kneser, ("n", "s")),
+    "hamming": (_hamming, ("d", "q", "j")),
+}
+
+
 def named_graph(name: str, params: tuple[int, ...] | list[int] = ()) -> Graph:
     """Construct a graph from the named-family catalogue.
 
     Supported families: ``complete(n)``, ``complete_multipartite(k, m)``,
     ``cycle(n)``, ``petersen``, ``coxeter``, ``kneser(n, s)``,
-    ``hamming(d, q, j)``.
+    ``hamming(d, q, j)``.  A wrong number of parameters raises ValueError
+    naming the family's signature.
     """
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown graph family {name!r}")
+    build, names = _FAMILIES[name]
     params = tuple(int(p) for p in params)
-    if name == "complete":
-        return _complete(*params)
-    if name == "complete_multipartite":
-        return _complete_multipartite(*params)
-    if name == "cycle":
-        return _cycle(*params)
-    if name == "petersen":
-        return _petersen()
-    if name == "coxeter":
-        return _coxeter()
-    if name == "kneser":
-        return _kneser(*params)
-    if name == "hamming":
-        from .hamming import hamming_graph
-
-        return hamming_graph(*params, cap=VERTEX_CAP)
-    raise ValueError(f"unknown graph family {name!r}")
+    if len(params) != len(names):
+        raise ValueError(f"{name}({', '.join(names)}) takes {len(names)} parameter"
+                         f"{'' if len(names) == 1 else 's'}, got {len(params)}")
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +385,7 @@ def _read_edge_list(lines) -> Graph:
         raise GraphFormatError("header must be two integers", no) from None
     if n < 1 or m < 0:
         raise GraphFormatError("need n >= 1 and m >= 0", no)
+    _check_vertices(n, "the graph file")
     W = np.zeros((n, n))
     seen: set[tuple[int, int]] = set()
     if len(it) - 1 != m:
@@ -410,6 +420,7 @@ def _read_dimacs(lines) -> Graph:
                 n, m = int(toks[2]), int(toks[3])
             except ValueError:
                 raise GraphFormatError("problem line must end in two integers", no) from None
+            _check_vertices(n, "the graph file")
             W = np.zeros((n, n))
         elif ln.startswith("e"):
             if W is None:

@@ -216,12 +216,14 @@ def hyperplane_round(
     Y is factored as V^T V with V its symmetric square root after clipping
     negative eigenvalues, which unlike a factor built from eigenvectors does
     not depend on the basis ``eigh`` picks inside a repeated eigenvalue.
-    Each trial draws k standard-normal n-vectors (PCG64 stream seeded with
-    seed + t) and assigns every vertex to the argmax inner product with its
-    column of V.  The trial of greatest cut weight is returned, the first
-    one on a tie, with its parts numbered in order of first appearance
-    (vertex 0 in part 0): same seed, same partition.  A Y that is not a
-    finite g.n-by-g.n matrix, k < 1 or trials < 1 raise ValueError.
+    Each trial draws k standard-normal n-vectors and assigns every vertex to
+    the argmax inner product with its column of V; trial t reads block t of
+    one ``standard_normal((trials, k, n))`` draw from a PCG64 stream seeded
+    with ``seed``, so the first t trials do not depend on ``trials``.  The
+    trial of greatest cut weight is returned, the first one on a tie, with
+    its parts numbered in order of first appearance (vertex 0 in part 0):
+    same seed, same partition.  A Y that is not a finite g.n-by-g.n matrix,
+    k < 1 or trials < 1 raise ValueError.
 
     All trials are scored and weighed together: one product gives every
     trial's weight up to rounding, and ``cut_weight`` settles the trials
@@ -240,8 +242,7 @@ def hyperplane_round(
     w, Q = _eigh((Y + Y.T) / 2.0)
     w = np.clip(w, 0.0, None)
     V = (Q * np.sqrt(w)) @ Q.T  # columns V[:, v] give vertex vectors
-    R = np.stack([np.random.Generator(np.random.PCG64(seed + t)).standard_normal((k, n))
-                  for t in range(trials)])
+    R = np.random.Generator(np.random.PCG64(seed)).standard_normal((trials, k, n))
     labels = np.argmax(R @ V, axis=1)  # (trials, n)
     # column (t, p) of X marks the vertices trial t puts in part p; the cut
     # is the total weight less the weight inside the parts

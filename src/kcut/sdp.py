@@ -53,15 +53,18 @@ when s != 0.  Per-entry duals are formed only at the checks, for the
 residuals and the Farkas margin.
 
 The loop carries only a working set of the cuts, after BiqMac (Rendl,
-Rinaldi & Wiegele 2010): the cuts the start point violates, then, at every
-full check (every 25 iterations), where ``_residuals`` evaluates every cut,
-each cut violated by more than ``tol_eq``; cuts never leave.  Cuts that
-never bind thus cost no work per iteration and do not slow the consensus
-averaging, which gives an entry read by many cut blocks a high degree.  The
-working operator slices the columns of the full one (``_Cuts.take``).  When
-the set grows, the plain step's X, U_el, E and the kept cuts' beta carry
-over; a new cut starts at beta = 0, with the dual E[pairs_c] of a block that
-was never active, C is recomputed and the Anderson history restarts.  The stop test, the Farkas test and the
+Rinaldi & Wiegele 2010): the cuts the start point violates, then, at the
+first check (iteration 1) and at every full check (every 25 iterations),
+where ``_residuals`` evaluates every cut, each cut violated by more than
+``tol_eq``; cuts never leave.  Cuts that never bind thus cost no work per
+iteration and do not slow the consensus averaging, which gives an entry
+read by many cut blocks a high degree.  The start point satisfies every
+triangle and independent-set inequality with slack, so such a model's
+working set starts at the first check.  The working operator slices the
+columns of the full one (``_Cuts.take``).  When the set grows, the plain step's X,
+U_el, E and the kept cuts' beta carry over; a new cut starts at beta = 0,
+with the dual E[pairs_c] of a block that was never active, C is recomputed
+and the Anderson history restarts.  The stop test, the Farkas test and the
 returned residuals read every cut, and a cut outside the working set enters
 the dual bound with multiplier 0, so a solve is certified against the whole
 model.
@@ -93,14 +96,16 @@ it; the dual bound stays a valid upper bound however the loop ends.
 The test runs at every 25th iteration, a full check, and at the perfect
 squares up to 144 (iterations 1, 4, 9, 16, 36, ..., 144), a stop-only
 check: many small and association-scheme models certify within 9 to 18
-iterations.  At a full check whose residuals fail, the same dual assembly
-runs on the step of the multipliers with a zero objective: on an
-infeasible model ADMM's dual iterates diverge along a Farkas ray (Banjac,
-Goulart, Stellato & Boyd 2019), and a negative value proves that no
-feasible point exists.  Only that proof reports ``infeasible``.  A
-stop-only check runs the stop test alone: no Farkas test, no growth of the
-working set, no write to the solver's state.  So a solve takes exactly the
-iterates it takes with full checks alone, and can only stop sooner.
+iterations.  The check at iteration 1, should its residuals fail, grows
+the working set as a full check does.  At a full check whose residuals
+fail, the same dual assembly runs on the step of the multipliers with a
+zero objective: on an infeasible model ADMM's dual iterates diverge along a
+Farkas ray (Banjac, Goulart, Stellato & Boyd 2019), and a negative value
+proves that no feasible point exists.  Only that proof reports
+``infeasible``.  Every later stop-only check runs the stop test alone: no
+Farkas test, no growth of the working set, no write to the solver's state.
+So a solve takes exactly the iterates it takes with the first check and the
+full checks alone, and can only stop sooner.
 """
 
 from __future__ import annotations
@@ -685,7 +690,8 @@ def _eigh(M: np.ndarray):
 def _check_at(it: int) -> bool:
     """Whether iteration ``it`` ends with a check: every ``_CHECK_EVERY``
     iterations a full one, and at the perfect squares up to ``_EARLY_LAST``
-    a stop-only one, so that a solve that certifies early returns early."""
+    a stop-only one, so that a solve that certifies early returns early;
+    the one at iteration 1 also grows the working set (``solve``)."""
     return it % _CHECK_EVERY == 0 or (it <= _EARLY_LAST and math.isqrt(it) ** 2 == it)
 
 
@@ -693,15 +699,16 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the model; see the module docstring for the scheme.
 
     The loop carries a working set of the model's cuts: those the start
-    point violates, then, at each full check (every 25 iterations), every
-    cut whose violation exceeds ``tol_eq``; cuts never leave it.  The checks
-    read every cut, so a solve is certified against all of them, and a cut
-    outside the working set enters the dual bound with multiplier 0.  The
-    stop-only checks at the perfect squares up to 144 (``_check_at``) run
-    the same certified test and change no iterate, so they only end a solve
-    sooner.  The state is (X, U_el, E, beta); the PSD block's dual is
-    -(U_el + C), read through the working cuts' dual sum C = count * E +
-    scatter(beta), which is zero without working cuts.
+    point violates, then, at the first check (iteration 1) and at each full
+    check (every 25 iterations), every cut whose violation exceeds
+    ``tol_eq``; cuts never leave it.  The checks read every cut, so a solve
+    is certified against all of them, and a cut outside the working set
+    enters the dual bound with multiplier 0.  The later stop-only checks at
+    the perfect squares up to 144 (``_check_at``) run the same certified
+    test and change no iterate, so they only end a solve sooner.  The state
+    is (X, U_el, E, beta); the PSD block's dual is -(U_el + C), read through
+    the working cuts' dual sum C = count * E + scatter(beta), which is zero
+    without working cuts.
 
     Status ``optimal`` means the certified test stopped the loop, and
     ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
@@ -833,19 +840,21 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
                 if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
                     status = "optimal"
                     break
-            elif it % _CHECK_EVERY == 0:
-                # only a full check acts on failed residuals, so a stop-only
-                # check leaves the iterates as they are.  Farkas test: the
+            elif it == 1 or it % _CHECK_EVERY == 0:
+                # only the first check and the full ones act on failed
+                # residuals, so a later stop-only check leaves the iterates
+                # as they are.  Farkas test, at full checks: the
                 # multipliers' step, read as a dual point of the zero
                 # objective, proves infeasibility by a negative value; the
                 # margin, relative to the step (cut duals entry by entry),
                 # covers the rounding of the eigenvalue shift
-                d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
-                step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])
-                farkas = _dual_bound(sp, wc, d_el, d_E, d_beta, 0.0)
-                if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
-                    status = "infeasible"
-                    break
+                if it % _CHECK_EVERY == 0:
+                    d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
+                    step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])
+                    farkas = _dual_bound(sp, wc, d_el, d_E, d_beta, 0.0)
+                    if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
+                        status = "infeasible"
+                        break
                 new = (cut_viol > opts.tol_eq) & ~working
                 if new.any():
                     # the plain step carries over into the grown working set:

@@ -149,6 +149,31 @@ def test_failure_contract(tmp_path, capsys, files, argv, want):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, text, fmt", [
+    ("big.txt", "10000000 0\n", "edge_list"),
+    ("big.col", "p edge 10000000 0\n", "dimacs"),
+])
+def test_graph_file_header_above_the_vertex_cap(tmp_path, capsys, name, text, fmt):
+    # the header is refused before its n-by-n matrix (728 TiB) is allocated
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "bound", str(path), "--format", fmt, "--k", "2",
+                           "--method", "eig")
+    assert code == EXIT_CAP
+    assert err == "error: the graph file has 10000000 vertices, above the cap 4096\n"
+
+
+@pytest.mark.parametrize("family, want", [
+    (("complete", "5", "6"), "complete(n) takes 1 parameter, got 2"),
+    (("hamming", "6", "2", "1", "100000"), "hamming(d, q, j) takes 3 parameters, got 4"),
+    (("kneser", "7"), "kneser(n, s) takes 2 parameters, got 1"),
+    (("petersen", "3"), "petersen() takes 0 parameters, got 1"),
+])
+def test_family_parameter_count_names_the_signature(capsys, family, want):
+    code, _, err = run_cli(capsys, "bound", "--family", *family, "--k", "2", "--method", "eig")
+    assert code == EXIT_PARSE and err == f"error: {want}\n"
+
+
 def test_exit_code_srg_rejects_non_srg(tmp_path, capsys):
     path = tmp_path / "p4.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")

@@ -123,6 +123,16 @@ def test_named_families_share_one_vertex_cap(monkeypatch):
             named_graph(name, params)
 
 
+def test_graph_files_share_the_vertex_cap(monkeypatch):
+    import kcut.graphs
+
+    monkeypatch.setattr(kcut.graphs, "VERTEX_CAP", 10)
+    assert read_graph("10 0").n == read_graph("p edge 10 0", format="dimacs").n == 10
+    for text, fmt in (("11 0", "edge_list"), ("p edge 11 0", "dimacs")):
+        with pytest.raises(CapExceeded, match="11 vertices, above the cap 10"):
+            read_graph(text, format=fmt)
+
+
 def test_read_edge_list():
     g = read_graph("3 2\n0 1\n1 2")
     assert g.n == 3 and g.num_edges == 2

@@ -270,14 +270,18 @@ def test_hyperplane_round_degenerate_all_ones():
     assert len(set(part.assignment.tolist())) == 1
 
 
-def _reference_round(sol, g, k, trials, seed):
-    # one trial at a time: draw, score, relabel parts by first appearance,
-    # weigh with cut_weight; the first trial of greatest weight wins
+def _draws(seed, trials, k, n):
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal((trials, k, n))
+
+
+def _reference_round(sol, g, k, draws):
+    # one trial at a time, trial t drawing block t of ``draws``: score,
+    # relabel parts by first appearance, weigh with cut_weight; the first
+    # trial of greatest weight wins
     w, Q = np.linalg.eigh((sol.Y + sol.Y.T) / 2.0)
     V = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
     best_val, best_part = -1.0, None
-    for t in range(trials):
-        R = np.random.Generator(np.random.PCG64(seed + t)).standard_normal((k, g.n))
+    for R in draws:
         relabel = {}
         a = [relabel.setdefault(int(p), len(relabel)) for p in np.argmax(R @ V, axis=0)]
         part = Partition(assignment=np.array(a), k=k)
@@ -299,9 +303,29 @@ def test_batched_rounding_matches_trial_by_trial_reference(rng):
             for s in (sol, ones):
                 for trials, seed in ((1, 0), (1, 5), (60, 1), (100, 7)):
                     part, val = hyperplane_round(s, g, k, trials=trials, seed=seed)
-                    ref_part, ref_val = _reference_round(s, g, k, trials, seed)
+                    ref_part, ref_val = _reference_round(s, g, k, _draws(seed, trials, k, g.n))
                     assert val == ref_val and part.k == k, (g.name, k, trials, seed)
                     assert np.array_equal(part.assignment, ref_part.assignment)
+
+
+def test_rounding_draws_every_trial_from_one_seeded_stream(monkeypatch, rng):
+    # a call seeds one PCG64 and trial t reads block t of its normal draw,
+    # so fewer trials read a prefix of the same draw
+    g = random_graph(10, 0.5, rng)
+    sol = solve(build(g, 3, RelaxationKind.MAIN_SDP))
+    made = []
+    pcg64 = np.random.PCG64
+
+    def counting(*args):
+        made.append(args)
+        return pcg64(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    part, val = hyperplane_round(sol, g, 3, trials=60, seed=4)
+    monkeypatch.undo()
+    assert made == [(4,)]
+    ref_part, ref_val = _reference_round(sol, g, 3, _draws(4, 100, 3, g.n)[:60])
+    assert val == ref_val and np.array_equal(part.assignment, ref_part.assignment)
 
 
 def test_rounding_rejects_non_finite_y():

@@ -339,15 +339,15 @@ def test_scheme_solves_stop_before_the_first_full_check(d, q, j, k):
 
 def test_stop_only_checks_leave_the_iterates_unchanged(monkeypatch):
     # main_sdp with all triangles on a G(10, 1/2) stops past the last
-    # stop-only check, growing its working set at full checks; with checks
-    # every 25 iterations only, it returns the same bits, and an infeasible
-    # model ends the same way
+    # stop-only check, growing its working set at the first check and at
+    # full checks; with checks at iteration 1 and every 25 iterations only,
+    # it returns the same bits, and an infeasible model ends the same way
     g = random_graph(10, 0.5, np.random.Generator(np.random.PCG64(1)))
     model = build(g, 2, RelaxationKind.MAIN_SDP)
     model.cuts.extend(triangle_cuts(10))
     infeasible = _c5_with_cut(*_INFEASIBLE_PROBES[0])
     runs = []
-    for schedule in (_check_at, lambda it: it % 25 == 0):
+    for schedule in (_check_at, lambda it: it == 1 or it % 25 == 0):
         monkeypatch.setattr("kcut.sdp._check_at", schedule)
         runs.append((solve(model), solve(infeasible)))
     (sol, bad), (ref, bad_ref) = runs
@@ -357,6 +357,24 @@ def test_stop_only_checks_leave_the_iterates_unchanged(monkeypatch):
                                                           ref.info["working_cuts"])
     assert bad.status == bad_ref.status == "infeasible"
     assert bad.iterations == bad_ref.iterations and np.array_equal(bad.Y, bad_ref.Y)
+
+
+def test_working_set_grows_at_the_first_check():
+    # the start point satisfies every cut of these models with slack, so
+    # the working set is empty until the check at iteration 1 grows it: C_5
+    # with its 30 triangle cuts took 100 iterations, and Coxeter with all
+    # 13,104 triangle and independent-set cuts 225, while growth waited for
+    # the first full check
+    c5 = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    c5.cuts.extend(triangle_cuts(5))
+    cox = build(named_graph("coxeter"), 2, RelaxationKind.MAIN_SDP)
+    cox.cuts.extend(triangle_cuts(28))
+    cox.cuts.extend(independent_set_cuts(28, 2))
+    for model, cuts, most in ((c5, 30, 49), (cox, 13_104, 125)):
+        sol = solve(model)
+        assert len(model.cuts) == cuts
+        assert sol.status == "optimal" and sol.iterations <= most, sol.iterations
+        assert 0 < sol.info["working_cuts"] < cuts
 
 
 def test_penalty_is_fixed_for_the_solve():
