@@ -360,87 +360,54 @@ def read_graph(source, format: str = "edge_list") -> Graph:
     """Parse a graph from ``edge_list`` or ``dimacs`` format.
 
     edge_list: header line "n m", then m lines "i j [w]" (0-indexed,
-    weight defaults to 1.0).  DIMACS: "p edge n m" and 1-indexed "e i j"
-    lines; "c" comment lines are skipped.
+    weight defaults to 1.0).  DIMACS: one problem line "p edge n m", then m
+    1-indexed lines "e i j [w]"; "c" comment lines are skipped.  Both share
+    one check of the header (n >= 1, m >= 0, n within VERTEX_CAP, before
+    anything is allocated) and of each edge line.
     """
-    lines = _as_lines(source)
-    if format == "edge_list":
-        return _read_edge_list(lines)
-    if format == "dimacs":
-        return _read_dimacs(lines)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def _read_edge_list(lines) -> Graph:
-    it = [(no, ln.strip()) for no, ln in enumerate(lines, 1) if ln.strip()]
-    if not it:
-        raise GraphFormatError("empty input")
-    no, header = it[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphFormatError("header must be 'n m'", no)
+    if format not in ("edge_list", "dimacs"):
+        raise ValueError(f"unknown format {format!r}")
+    dimacs = format == "dimacs"
+    what, tag = ("problem line", "e ") if dimacs else ("header", "")
+    rows = [(no, ln.split()) for no, ln in enumerate(_as_lines(source), 1) if ln.strip()]
+    if dimacs:
+        # the problem line first and once, then edge lines
+        rows = [(no, toks) for no, toks in rows if not toks[0].startswith("c")]
+        for pos, (no, toks) in enumerate(rows):
+            if toks[0] not in ("p", "e"):
+                raise GraphFormatError(f"unrecognized line {' '.join(toks)!r}", no)
+            if (toks[0] == "p") != (pos == 0):
+                raise GraphFormatError("second problem line" if pos
+                                       else "edge line before problem line", no)
+        rows = [(no, toks[1:]) for no, toks in rows]
+    if not rows:
+        raise GraphFormatError(f"missing {what}")
+    (no, header), edges = rows[0], rows[1:]
+    if dimacs:  # "edge n m" once its tag is stripped
+        header = header[1:] if header[:1] == ["edge"] else []
+    if len(header) != 2:
+        raise GraphFormatError(f"{what} must be '{'p edge ' if dimacs else ''}n m'", no)
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise GraphFormatError("header must be two integers", no) from None
+        raise GraphFormatError(f"{what} must give n and m as integers", no) from None
     if n < 1 or m < 0:
         raise GraphFormatError("need n >= 1 and m >= 0", no)
     _check_vertices(n, "the graph file")
+    if len(edges) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(edges)}")
     W = np.zeros((n, n))
     seen: set[tuple[int, int]] = set()
-    if len(it) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(it) - 1}")
-    for no, ln in it[1:]:
-        toks = ln.split()
+    base = 1 if dimacs else 0
+    for no, toks in edges:
         if len(toks) not in (2, 3):
-            raise GraphFormatError("edge line must be 'i j [w]'", no)
+            raise GraphFormatError(f"edge line must be '{tag}i j [w]'", no)
         try:
-            i, j = int(toks[0]), int(toks[1])
+            i, j = int(toks[0]) - base, int(toks[1]) - base
             w = float(toks[2]) if len(toks) == 3 else 1.0
         except ValueError:
-            raise GraphFormatError(f"malformed edge line {ln!r}", no) from None
+            raise GraphFormatError(f"malformed edge line {tag + ' '.join(toks)!r}", no) from None
         _edge_accumulate(W, seen, i, j, w, n, no)
-    return Graph(n=n, weights=W)
-
-
-def _read_dimacs(lines) -> Graph:
-    n = m = None
-    W = None
-    seen: set[tuple[int, int]] = set()
-    count = 0
-    for no, raw in enumerate(lines, 1):
-        ln = raw.strip()
-        if not ln or ln.startswith("c"):
-            continue
-        if ln.startswith("p"):
-            toks = ln.split()
-            if len(toks) != 4 or toks[1] != "edge":
-                raise GraphFormatError("problem line must be 'p edge n m'", no)
-            try:
-                n, m = int(toks[2]), int(toks[3])
-            except ValueError:
-                raise GraphFormatError("problem line must end in two integers", no) from None
-            _check_vertices(n, "the graph file")
-            W = np.zeros((n, n))
-        elif ln.startswith("e"):
-            if W is None:
-                raise GraphFormatError("edge line before problem line", no)
-            toks = ln.split()
-            if len(toks) not in (3, 4):
-                raise GraphFormatError("edge line must be 'e i j [w]'", no)
-            try:
-                i, j = int(toks[1]) - 1, int(toks[2]) - 1  # DIMACS is 1-indexed
-                w = float(toks[3]) if len(toks) == 4 else 1.0
-            except ValueError:
-                raise GraphFormatError(f"malformed edge line {ln!r}", no) from None
-            _edge_accumulate(W, seen, i, j, w, n, no)
-            count += 1
-        else:
-            raise GraphFormatError(f"unrecognized line {ln!r}", no)
-    if W is None:
-        raise GraphFormatError("missing problem line")
-    if count != m:
-        raise GraphFormatError(f"expected {m} edges, found {count}")
     return Graph(n=n, weights=W)
 
 

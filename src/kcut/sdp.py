@@ -24,6 +24,8 @@ flat positions i*n + j and summed back onto both (i, j) and (j, i)).
 Over-relaxation is fixed at 1.6 and the penalty parameter is auto-scaled
 from the objective norm, then held fixed for the whole solve.  The start
 point is the cone's barycentre (1 - s) I + s J, so runs are deterministic.
+One object, ``_SolverState``, holds a solve's data and state; ``solve``
+builds it and runs its loop.
 
 A lower bound that the cone already implies is presolved away: under a
 diagonal constraint d, Y - s J >= 0 gives |Y_ij - s| <= sqrt((d_i - s)(d_j
@@ -58,16 +60,14 @@ first check (iteration 1) and at every full check (every 25 iterations),
 where ``_residuals`` evaluates every cut, each cut violated by more than
 ``tol_eq``; cuts never leave.  Cuts that never bind thus cost no work per
 iteration and do not slow the consensus averaging, which gives an entry
-read by many cut blocks a high degree.  The start point satisfies every
-triangle and independent-set inequality with slack, so such a model's
-working set starts at the first check.  The working operator slices the
-columns of the full one (``_Cuts.take``).  When the set grows, the plain step's X,
-U_el, E and the kept cuts' beta carry over; a new cut starts at beta = 0,
-with the dual E[pairs_c] of a block that was never active, C is recomputed
-and the Anderson history restarts.  The stop test, the Farkas test and the
-returned residuals read every cut, and a cut outside the working set enters
-the dual bound with multiplier 0, so a solve is certified against the whole
-model.
+read by many cut blocks a high degree.  The working operator slices the
+columns of the full one (``_Cuts.take``).  When the set grows, the plain
+step's X, U_el, E and the kept cuts' beta carry over; a new cut starts at
+beta = 0, with the dual E[pairs_c] of a block that was never active, C is
+recomputed and the Anderson history restarts.  The stop test, the Farkas
+test and the returned residuals read every cut, and a cut outside the
+working set enters the dual bound with multiplier 0, so a solve is
+certified against the whole model.
 
 The ADMM step x -> T(x) on the state x = (X, U_el, E, beta) is sped up by
 safeguarded type-II Anderson acceleration: depth 20, a Gram-matrix ridge of
@@ -112,6 +112,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -294,7 +295,8 @@ class SdpModel:
     (cone_k * Y - J >= 0 with integer cone_k >= 2).  ``elementwise_lower``
     bounds every off-diagonal entry from below (the diagonal is pinned by the
     equality constraints).  ``cuts`` is a CutList; a list of ``Cut`` objects
-    given here is made into one.
+    given here is made into one.  Every number given must be finite: a
+    non-finite one raises ValueError naming its field.
     """
 
     n: int
@@ -310,8 +312,9 @@ class SdpModel:
 
     def __post_init__(self):
         C = np.asarray(self.objective, dtype=float)
-        if C.shape != (self.n, self.n) or np.max(np.abs(C - C.T)) > 1e-10:
-            raise ValueError("objective must be a symmetric n-by-n matrix")
+        if (C.shape != (self.n, self.n) or not np.isfinite(C).all()
+                or np.max(np.abs(C - C.T)) > 1e-10):
+            raise ValueError("objective must be a finite symmetric n-by-n matrix")
         self.objective = C
         if (self.diag_values is None) == (self.trace_value is None):
             raise ValueError("exactly one of diag_values / trace_value must be set")
@@ -323,13 +326,17 @@ class SdpModel:
         if self.cone not in ("psd", "shifted_psd"):
             raise ValueError(f"unknown cone {self.cone!r}")
         if self.cone == "shifted_psd":
-            if self.cone_k is None or self.cone_k < 2:
+            if not isinstance(self.cone_k, numbers.Integral) or self.cone_k < 2:
                 raise ValueError("shifted_psd requires integer cone_k >= 2")
         if self.elementwise_lower is not None:
             B = np.asarray(self.elementwise_lower, dtype=float)
             if B.shape != (self.n, self.n):
                 raise ValueError("elementwise_lower must be n-by-n")
             self.elementwise_lower = B
+        for name in ("obj_scale", "diag_values", "trace_value", "elementwise_lower"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if not isinstance(self.cuts, CutList):
             self.cuts = CutList(self.cuts)
         for P, _, _ in self.cuts.blocks():
@@ -505,51 +512,6 @@ def _residuals(model: SdpModel, Y: np.ndarray, cuts: _Cuts, eig_within: float | 
     }, viol
 
 
-# ---------------------------------------------------------------------------
-# the model as the solver reads it
-# ---------------------------------------------------------------------------
-
-
-class _SolverSpace:
-    """The model's data as the solver reads it, in the model's coordinates:
-    the objective, equality, enforced floor and cuts, plus the cone's shift
-    s (the cone is Y - s J >= 0)."""
-
-    def __init__(self, model: SdpModel):
-        n = model.n
-        self.n = n
-        self.shift = 1.0 / model.cone_k if model.cone == "shifted_psd" else 0.0
-        self.diag = model.diag_values
-        self.trace = model.trace_value
-        G, B = model.obj_scale * model.objective, model.elementwise_lower
-        # the upper triangle defines both matrices, mirrored so every iterate
-        # stays exactly symmetric; the lower bound leaves the diagonal free
-        self.G = np.triu(G) + np.triu(G, 1).T
-        self.floor = None
-        if B is not None:
-            self.floor = np.triu(B, 1) + np.triu(B, 1).T
-            np.fill_diagonal(self.floor, -np.inf)
-        # the floor the solver enforces: none when Y - sJ >= 0 with diagonal
-        # d already has Y_ij >= s - sqrt((d_i - s)(d_j - s)) >= floor_ij
-        if self.floor is not None and self.diag is not None:
-            e = self.diag - self.shift
-            if e.min() >= 0 and np.all(self.floor <= self.shift - np.sqrt(np.outer(e, e))):
-                self.floor = None
-        self.cuts = _Cuts.of(n, model.cuts)
-
-    def state(self, m: int):
-        """A zeroed solver state (buffer, X, U_el, E, beta) for m working
-        cuts: the rest are views of the flat buffer, the state vector being
-        accelerated.  E and beta factor the cut duals (see ``solve``); without
-        cuts the buffer holds neither, E being a zero matrix beside it and
-        beta empty."""
-        n, nn = self.n, self.n * self.n
-        buf = np.zeros(2 * nn + (nn + m if m else 0))
-        X, U_el = buf[:nn].reshape(n, n), buf[nn:2 * nn].reshape(n, n)
-        E = buf[2 * nn:3 * nn].reshape(n, n) if m else np.zeros((n, n))
-        return buf, X, U_el, E, buf[3 * nn:]
-
-
 class _Anderson:
     """Safeguarded type-II Anderson acceleration of the ADMM map x -> T(x)
     (Walker & Ni 2011; the safeguard follows Zhang, O'Donoghue & Boyd 2020).
@@ -561,22 +523,21 @@ class _Anderson:
     cut reads: O(n^2 + #cuts).  With cuts, the metric weights E_ij by the
     square root of the number of cuts reading it and beta_c by |coef_c|, so
     that it follows the inner product of the per-entry cut duals; without
-    cuts it is the plain one on the upper triangles.  The packed current
-    iterate (``cur``) is always one already at hand -- the last candidate,
-    the last plain step or the restored one -- so it is kept rather than
-    gathered again, until ``clear`` starts a new history.  The step counts
-    run over the whole solve; ``layout`` fits the history to a new working
-    set.
+    cuts it is the plain one on the upper triangles of X and U_el.  The
+    packed current iterate (``cur``) is always one already at hand -- the
+    last candidate, the last plain step or the restored one -- so it is kept
+    rather than gathered again, until ``clear`` starts a new history.  The
+    step counts run over the whole solve; ``layout`` fits the history to a
+    working set, before the first step and whenever the set grows.
     """
 
-    def __init__(self, n: int, cuts: _Cuts):
+    def __init__(self, n: int):
         self.n = n
         m = _AA_DEPTH
         self.gram, self.eye = np.zeros((m, m)), np.eye(m)
         self.sq = [0.0] * m  # the Gram diagonal
         self.steps = self.rejected = 0
         self.fn_base = np.inf
-        self.layout(cuts)
 
     def layout(self, cuts: _Cuts):
         """Pack the state of the working cuts ``cuts`` and start a new
@@ -688,91 +649,83 @@ def _eigh(M: np.ndarray):
 
 
 def _check_at(it: int) -> bool:
-    """Whether iteration ``it`` ends with a check: every ``_CHECK_EVERY``
-    iterations a full one, and at the perfect squares up to ``_EARLY_LAST``
-    a stop-only one, so that a solve that certifies early returns early;
-    the one at iteration 1 also grows the working set (``solve``)."""
+    """Whether iteration ``it`` ends with a check: a full one every
+    ``_CHECK_EVERY`` iterations, and at the perfect squares up to
+    ``_EARLY_LAST`` a stop-only one (see the module docstring)."""
     return it % _CHECK_EVERY == 0 or (it <= _EARLY_LAST and math.isqrt(it) ** 2 == it)
 
 
-def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
-    """Solve the model; see the module docstring for the scheme.
+class _SolverState:
+    """One solve: the model as the solver reads it, in the model's
+    coordinates (the mirrored objective G, the equality, the enforced floor,
+    the cone's shift s and the full cut operator), the penalty rho, the
+    working set and its operator, and the iterate.
 
-    The loop carries a working set of the model's cuts: those the start
-    point violates, then, at the first check (iteration 1) and at each full
-    check (every 25 iterations), every cut whose violation exceeds
-    ``tol_eq``; cuts never leave it.  The checks read every cut, so a solve
-    is certified against all of them, and a cut outside the working set
-    enters the dual bound with multiplier 0.  The later stop-only checks at
-    the perfect squares up to 144 (``_check_at``) run the same certified
-    test and change no iterate, so they only end a solve sooner.  The state
-    is (X, U_el, E, beta); the PSD block's dual is -(U_el + C), read through
-    the working cuts' dual sum C = count * E + scatter(beta), which is zero
-    without working cuts.
-
-    Status ``optimal`` means the certified test stopped the loop, and
-    ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
-    means a Farkas certificate stopped it; ``max_iter`` returns the last
-    iterate.  Anderson acceleration (depth 20), run on every model, only
-    chooses where the next plain ADMM step starts, so it changes how soon a solve
-    certifies, never what is certified.  The residuals also carry the ADMM
-    ``primal`` and ``dual`` residuals of the last check; ``sol.info`` reports
-    the fixed penalty (``rho``), the final size of the working set
-    (``working_cuts``), and counts the accepted (``aa_steps``) and rejected
-    (``aa_rejected``) accelerated steps over the whole solve.
+    ``step`` takes the plain ADMM step y = T(x), carrying C along; ``check``
+    runs a check on y (the certified test, the Farkas test and growth);
+    ``grow`` adds cuts to the working set, the start point's included;
+    ``readout`` gives the objective and dual bound of a state, through
+    ``dual_bound``; ``run`` is the loop.  x and y are (buffer, X, U_el, E,
+    beta), the rest views of the flat buffer, the vector being accelerated;
+    E sits in the buffer even without working cuts, where it stays zero.
     """
-    opts = options or SolverOptions()
-    if model.n > opts.n_cap:
-        raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
-    sp = _SolverSpace(model)
-    n, cuts = sp.n, sp.cuts
-    G, floor, shift = sp.G, sp.floor, sp.shift
-    # one fixed penalty, auto-scaled from the objective norm
-    rho = max(float(np.linalg.norm(G)) / n, 1e-3)
-    g_rho = G / rho
-    alpha = _ALPHA
 
-    X0 = np.full((n, n), shift)
-    np.fill_diagonal(X0, 1.0)  # the barycentre (1 - s) I + s J
-    working = cuts.apply(X0) - cuts.rhs > opts.tol_eq
-    wc = cuts.take(np.flatnonzero(working))
-    deg = 2.0 + wc.count
-    # x is the iterate, y = T(x) the plain ADMM step from it; E and beta
-    # factor the working cuts' duals (see the module docstring).  The block
-    # duals sum to zero, so the PSD block's scaled dual is -(U_el + C), C =
-    # count * E + scatter(beta) the working cuts' duals summed into a matrix,
-    # zero without working cuts: neither is part of the state.  C is carried
-    # through the plain step and recomputed whenever acceleration or a new
-    # working set moves the state
-    x, y = sp.state(wc.size), sp.state(wc.size)
-    x[1][...] = X0
-    last = x
-    C = np.zeros((n, n))
-    # the step's scratch matrices, allocated once per solve
-    D, zn_psd, zn_el, T = (np.empty((n, n)) for _ in range(4))
+    def __init__(self, model: SdpModel, opts: SolverOptions):
+        if model.n > opts.n_cap:
+            raise CapExceeded(f"n={model.n} above the configured cap {opts.n_cap}")
+        self.model, self.opts = model, opts
+        n = self.n = model.n
+        self.shift = 1.0 / model.cone_k if model.cone == "shifted_psd" else 0.0
+        self.diag, self.trace = model.diag_values, model.trace_value
+        G, B = model.obj_scale * model.objective, model.elementwise_lower
+        # the upper triangle defines both matrices, mirrored so every iterate
+        # stays exactly symmetric; the lower bound leaves the diagonal free
+        self.G = np.triu(G) + np.triu(G, 1).T
+        self.floor = None
+        if B is not None:
+            self.floor = np.triu(B, 1) + np.triu(B, 1).T
+            np.fill_diagonal(self.floor, -np.inf)
+        # the floor the solver enforces: none when Y - sJ >= 0 with diagonal
+        # d already has Y_ij >= s - sqrt((d_i - s)(d_j - s)) >= floor_ij
+        if self.floor is not None and self.diag is not None:
+            e = self.diag - self.shift
+            if e.min() >= 0 and np.all(self.floor <= self.shift - np.sqrt(np.outer(e, e))):
+                self.floor = None
+        self.cuts = _Cuts.of(n, model.cuts)
+        # one fixed penalty, auto-scaled from the objective norm
+        self.rho = max(float(np.linalg.norm(self.G)) / n, 1e-3)
+        self.g_rho = self.G / self.rho
+        # C, the working cuts' duals summed, and the step's work matrices
+        self.C, self.D, self.zn_psd, self.zn_el, self.T = (np.zeros((n, n)) for _ in range(5))
+        self.primal = self.dual = np.inf  # the ADMM residuals of the last check
+        self.aa = _Anderson(n)
+        self.working = np.zeros(self.cuts.size, bool)
+        X0 = np.full((n, n), self.shift)
+        np.fill_diagonal(X0, 1.0)  # the barycentre (1 - s) I + s J
+        self.grow(self.cuts.apply(X0) - self.cuts.rhs > opts.tol_eq, X0, 0.0, 0.0, 0.0)
 
-    def proj_el(V):
-        d = V.reshape(-1)[:: n + 1]
-        if sp.diag is not None:
-            d[:] = sp.diag
-        else:
-            d += (sp.trace - d.sum()) / n
-        if floor is not None:
-            np.maximum(V, floor, out=V)
+    def grow(self, new: np.ndarray, X, U_el, E, beta):
+        """Add the cuts ``new`` to the working set and start x at (X, U_el,
+        E, beta), beta over the kept cuts: a new cut's beta starts at 0."""
+        kept = ~new[self.working | new]
+        self.working |= new
+        wc = self.wc = self.cuts.take(np.flatnonzero(self.working))
+        self.deg = 2.0 + wc.count
+        nn, sq = self.n * self.n, (self.n, self.n)
+        self.x, self.y = [(b, b[:nn].reshape(sq), b[nn:2 * nn].reshape(sq),
+                           b[2 * nn:3 * nn].reshape(sq), b[3 * nn:])
+                          for b in (np.zeros(3 * nn + wc.size), np.zeros(3 * nn + wc.size))]
+        _, X1, U1, E1, beta1 = self.last = self.x
+        X1[...], U1[...], E1[...] = X, U_el, E
+        beta1[kept] = beta
+        self.aa.layout(wc)
 
-    def dual_sum(E, beta):
-        np.add(np.multiply(wc.count, E, out=C), wc.scatter(beta), out=C)
-
-    aa = _Anderson(n, wc)
-
-    t0 = time.perf_counter()
-    status = "max_iter"
-    r = s = np.inf
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        xb, X, U_el, E, beta = x
-        yb, Xn, U_eln, En, betan = y
-        last = y
+    def step(self):
+        """The plain ADMM step y = T(x), C moving along to y's."""
+        n, wc, alpha, shift, C = self.n, self.wc, _ALPHA, self.shift, self.C
+        D, zn_psd, zn_el, T = self.D, self.zn_psd, self.zn_el, self.T
+        _, X, U_el, E, beta = self.x
+        _, Xn, U_eln, En, betan = self.last = self.y
         # the PSD block projects X - U_psd = X + U_el + C onto the cone
         np.add(X, U_el, out=D)
         if wc.size:
@@ -784,10 +737,17 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
         np.matmul(Q, Q.T, out=zn_psd)  # a symmetric rank-k update: exactly symmetric
         if shift:
             zn_psd += shift
-        # the linear objective rides in the elementwise prox as a shift
+        # the elementwise block, the linear objective riding in its prox as a
+        # shift: set the diagonal (or the trace), then the floor
         np.subtract(X, U_el, out=zn_el)
-        zn_el += g_rho
-        proj_el(zn_el)
+        zn_el += self.g_rho
+        d = zn_el.reshape(-1)[:: n + 1]
+        if self.diag is not None:
+            d[:] = self.diag
+        else:
+            d += (self.trace - d.sum()) / n
+        if self.floor is not None:
+            np.maximum(zn_el, self.floor, out=zn_el)
 
         # the consensus average, with T = (1 - alpha) X:
         # deg Xn = alpha (zn_psd + zn_el) + 2 T + count X - alpha (C + scatter(lam))
@@ -800,13 +760,13 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             # cut c's block projects X[pairs_c] minus its dual onto its
             # halfspace, moving it by -lam_c coef_c
             viol = wc.apply(np.subtract(X, E, out=D)) - beta * wc.normsq - wc.rhs
-            lam = np.maximum(viol, 0.0) / wc.normsq
+            lam = self.lam = np.maximum(viol, 0.0) / wc.normsq
             P = wc.scatter(lam)
             P += C
             P *= alpha
             Xn += np.multiply(wc.count, X, out=D)
             Xn -= P
-            Xn /= deg
+            Xn /= self.deg
         else:
             Xn *= 0.5
         np.multiply(zn_el, alpha, out=U_eln)
@@ -823,150 +783,168 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
             C += T
             C -= P
 
-        if _check_at(it):
-            r2 = np.sum((zn_psd - Xn) ** 2) + np.sum((zn_el - Xn) ** 2)
-            if wc.size:
-                # cut c's projected point is (X - E)[pairs_c] - (beta_c +
-                # lam_c) coef_c; an off-diagonal cut entry stands for two
-                # matrix entries, so it counts twice in the Frobenius norm
-                r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + lam)) ** 2)
-            r = float(np.sqrt(r2))
-            s = float(rho * np.linalg.norm(Xn - X))
-            resid, cut_viol = _residuals(model, Xn, cuts, opts.tol_eq)
-            if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
-                    <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
-                obj = float(np.vdot(G, Xn))
-                dual_bound = _dual_bound(sp, wc, rho * U_eln - G, rho * En, rho * betan, G)
-                if dual_bound - obj <= opts.tol_gap * (1 + abs(obj)):
-                    status = "optimal"
-                    break
-            elif it == 1 or it % _CHECK_EVERY == 0:
-                # only the first check and the full ones act on failed
-                # residuals, so a later stop-only check leaves the iterates
-                # as they are.  Farkas test, at full checks: the
-                # multipliers' step, read as a dual point of the zero
-                # objective, proves infeasibility by a negative value; the
-                # margin, relative to the step (cut duals entry by entry),
-                # covers the rounding of the eigenvalue shift
-                if it % _CHECK_EVERY == 0:
-                    d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
-                    step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])
-                    farkas = _dual_bound(sp, wc, d_el, d_E, d_beta, 0.0)
-                    if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
-                        status = "infeasible"
-                        break
-                new = (cut_viol > opts.tol_eq) & ~working
-                if new.any():
-                    # the plain step carries over into the grown working set:
-                    # a new cut's dual starts at E[pairs_c] (beta_c = 0), the
-                    # dual of a block that was never active
-                    kept = ~new[working | new]
-                    working |= new
-                    wc = cuts.take(np.flatnonzero(working))
-                    deg = 2.0 + wc.count
-                    x, y = sp.state(wc.size), sp.state(wc.size)
-                    _, X, U_el, E, beta = last = x
-                    X[...], U_el[...], E[...] = Xn, U_eln, En
-                    beta[kept] = betan
-                    dual_sum(E, beta)
-                    aa.layout(wc)
-                    continue
+    def check(self, it: int) -> str | None:
+        """The check ending iteration ``it``, on y: ``optimal`` when the
+        certified test passes, ``infeasible`` when the Farkas test does
+        (full checks), ``grown`` when the first or a full check grew the
+        working set, else None."""
+        opts, wc, rho = self.opts, self.wc, self.rho
+        _, X, U_el, E, beta = self.x
+        _, Xn, U_eln, En, betan = self.y
+        r2 = np.sum((self.zn_psd - Xn) ** 2) + np.sum((self.zn_el - Xn) ** 2)
+        if wc.size:
+            # cut c's projected point is (X - E)[pairs_c] - (beta_c + lam_c)
+            # coef_c; an off-diagonal cut entry stands for two matrix
+            # entries, so it counts twice in the Frobenius norm
+            r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + self.lam)) ** 2)
+        self.primal = float(np.sqrt(r2))
+        self.dual = float(rho * np.linalg.norm(Xn - X))
+        resid, cut_viol = _residuals(self.model, Xn, self.cuts, opts.tol_eq)
+        self.resid = resid
+        if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
+                <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
+            self.obj, self.bound = self.readout(self.y)
+            if self.bound - self.obj <= opts.tol_gap * (1 + abs(self.obj)):
+                return "optimal"
+        elif it == 1 or it % _CHECK_EVERY == 0:
+            # only the first check and the full ones act on failed
+            # residuals, so a later stop-only check leaves the iterates as
+            # they are.  Farkas test, at full checks: the multipliers' step,
+            # read as a dual point of the zero objective, proves
+            # infeasibility by a negative value; the margin, relative to
+            # the step (cut duals entry by entry), covers the rounding of
+            # the eigenvalue shift
+            if it % _CHECK_EVERY == 0:
+                d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
+                step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])
+                farkas = self.dual_bound(d_el, d_E, d_beta, 0.0)
+                if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
+                    return "infeasible"
+            new = (cut_viol > opts.tol_eq) & ~self.working
+            if new.any():
+                self.grow(new, Xn, U_eln, En, betan)
+                return "grown"
+        return None
 
-        if aa.rejected < _AA_MAX_REJECTED and aa.advance(xb, yb):
-            if wc.size:
-                dual_sum(E, beta)
-            continue
-        x, y = y, x
+    def readout(self, state) -> tuple[float, float]:
+        """The objective at the state's X and the dual bound of its
+        multipliers."""
+        _, X, U_el, E, beta = state
+        rho, G = self.rho, self.G
+        return float(np.vdot(G, X)), self.dual_bound(rho * U_el - G, rho * E, rho * beta, G)
 
-    runtime = time.perf_counter() - t0
-    _, X, U_el, E, beta = last
-    if status != "optimal":
-        resid = _residuals(model, X, cuts)[0]
-        obj = float(np.vdot(G, X))
-        dual_bound = (None if status == "infeasible"
-                      else _dual_bound(sp, wc, rho * U_el - G, rho * E, rho * beta, G))
-    resid["primal"] = r
-    resid["dual"] = s
+    def dual_bound(self, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
+        """Assemble a dual feasible point from the block multipliers.
 
-    return SdpSolution(
-        Y=X.copy(),
-        objective_value=obj,
-        status=status,
-        residuals=resid,
-        dual_bound=dual_bound,
-        gap=None if dual_bound is None else dual_bound - obj,
-        iterations=it,
-        runtime=runtime,
-        info={"rho": rho, "working_cuts": wc.size, "aa_steps": aa.steps,
-              "aa_rejected": aa.rejected, "model": model.name},
-    )
+        For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
+        Y - sJ psd, the dual slack is S = Diag(nu) - M + sum mu_c A_c - G with
+        M, mu >= 0, and every feasible Y has <G,Y> = nu.d - <M,Y> + sum mu_c
+        <A_c,Y> - <S,Y> <= nu.d - <M,B> + sum mu_c b_c - <S,Y>.  Once S + tI
+        is psd, Y - sJ psd gives <S + tI, Y> >= s <S + tI, J>, so shifting nu
+        by t bounds the objective by nu.d - <M,B> + sum mu_c b_c + t (sum(d)
+        - n s) - s sum(S) (tr in place of sum(d) under a trace constraint).
+        ``Y_el`` is the elementwise block's multiplier without the objective
+        (rho U_el - G), and working cut c has block multiplier Y_E[pairs_c] +
+        Y_beta_c coef_c (rho E and rho beta, the factored form); every other
+        cut enters with mu_c = 0.  The shift t adds n eps |S|_F to the
+        computed -lambda_min(S), covering its rounding, of the order of eps
+        |S| for a backward-stable eigensolver, and the value is padded by
+        (n^2 + #cuts) eps times the magnitudes of its terms, covering the
+        rounding of its sums: a solve converged to machine precision
+        otherwise reads a bound a few ulps either side of its objective.
+        B is the solver's floor: without one (none, or one the cone implies)
+        M is zero and the bound is that of the relaxation without B, whose
+        optimum is the same.  With ``G`` = 0 and the multipliers' step for
+        ``Y_el``, ``Y_E`` and ``Y_beta``, a negative value is a Farkas
+        certificate: no feasible Y exists.
+        """
+        n, cuts = self.n, self.wc
+        # ``scale`` sums the magnitudes of the bound's terms, for its rounding
+        if self.diag is not None:
+            nu = -np.diag(Y_el)
+            S = np.diag(nu) - G
+            value = float(nu @ self.diag)
+            scale = float(np.abs(nu) @ np.abs(self.diag))
+            dsum = float(np.sum(self.diag))
+        else:
+            nu0 = -float(np.trace(Y_el)) / n
+            S = nu0 * np.eye(n) - G
+            value = nu0 * self.trace
+            scale = abs(value)
+            dsum = self.trace
+        if self.floor is not None:
+            # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported
+            # where the lower bound is active; clip to the feasible orthant
+            off = ~np.eye(n, dtype=bool)
+            M_hat = np.clip(Y_el[off], 0.0, None)
+            S[off] -= M_hat
+            value -= float(M_hat @ self.floor[off])
+            scale += float(M_hat @ np.abs(self.floor[off]))
+
+        # cut c is sum_p coef_p Y_p <= rhs with A_c holding coef_p / 2 at (i, j)
+        # and (j, i); its two-sided entries double the multiplier formula, and
+        # coef_c . (E[pairs_c] + beta_c coef_c) = A(E)_c + beta_c |coef_c|^2
+        if cuts.size:
+            mu = np.clip(-2.0 * (cuts.apply(Y_E) / cuts.normsq + Y_beta), 0.0, None)
+            value += float(mu @ cuts.rhs)
+            scale += float(mu @ np.abs(cuts.rhs))
+            S += 0.5 * cuts.scatter(mu)
+
+        eps, s = float(np.finfo(float).eps), self.shift
+        t = max(0.0, n * eps * float(np.linalg.norm(S)) - float(np.linalg.eigvalsh(S)[0]))
+        value += t * (dsum - n * s) - s * float(S.sum())
+        scale += abs(t * (dsum - n * s)) + s * float(np.abs(S).sum())
+        # each sum rounds by at most its length times eps times its terms'
+        # magnitudes: pad by that, so the float bound stays above the exact one
+        return value + (n * n + cuts.size) * eps * scale
+
+    def run(self) -> SdpSolution:
+        """Step and check until a verdict or ``max_iter``; the solution
+        reads the last plain step."""
+        aa, status, it = self.aa, "max_iter", 0
+        t0 = time.perf_counter()
+        for it in range(1, self.opts.max_iter + 1):
+            self.step()
+            verdict = self.check(it) if _check_at(it) else None
+            if verdict in ("optimal", "infeasible"):
+                status = verdict
+                break
+            if verdict == "grown" or (aa.rejected < _AA_MAX_REJECTED
+                                      and aa.advance(self.x[0], self.y[0])):
+                if self.wc.size:  # the state moved: C follows it
+                    wc, (_, _, _, E, beta) = self.wc, self.x
+                    np.add(np.multiply(wc.count, E, out=self.C), wc.scatter(beta), out=self.C)
+            else:
+                self.x, self.y = self.y, self.x
+        runtime = time.perf_counter() - t0
+        if status != "optimal":
+            self.resid = _residuals(self.model, self.last[1], self.cuts)[0]
+            self.obj, self.bound = self.readout(self.last)
+        bound = None if status == "infeasible" else self.bound
+        return SdpSolution(
+            Y=self.last[1].copy(), objective_value=self.obj, status=status,
+            residuals=dict(self.resid, primal=self.primal, dual=self.dual),
+            dual_bound=bound, gap=None if bound is None else bound - self.obj,
+            iterations=it, runtime=runtime,
+            info={"rho": self.rho, "working_cuts": self.wc.size, "aa_steps": aa.steps,
+                  "aa_rejected": aa.rejected, "model": self.model.name})
 
 
-def _dual_bound(sp: _SolverSpace, cuts: _Cuts, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
-    """Assemble a dual feasible point from the block multipliers.
+def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
+    """Solve the model; see the module docstring for the scheme.
 
-    For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
-    Y - sJ psd, the dual slack is S = Diag(nu) - M + sum mu_c A_c - G with
-    M, mu >= 0, and every feasible Y has <G,Y> = nu.d - <M,Y> + sum mu_c
-    <A_c,Y> - <S,Y> <= nu.d - <M,B> + sum mu_c b_c - <S,Y>.  Once S + tI is
-    psd, Y - sJ psd gives <S + tI, Y> >= s <S + tI, J>, so shifting nu by t
-    bounds the objective by nu.d - <M,B> + sum mu_c b_c + t (sum(d) - n s)
-    - s sum(S) (tr in place of sum(d) under a trace constraint).
-    ``Y_el`` is the elementwise block's multiplier without the objective
-    (rho U_el - G), and cut c of ``cuts``, the working set, has block
-    multiplier Y_E[pairs_c] + Y_beta_c coef_c (rho E and rho beta: the
-    factored form ``solve`` keeps); every other cut enters with mu_c = 0.
-    The shift t adds n eps |S|_F to the computed -lambda_min(S), covering
-    its rounding, of the order of eps |S| for a backward-stable eigensolver,
-    and the value is padded by (n^2 + #cuts) eps times the magnitudes of its
-    terms, covering the rounding of its sums: a solve converged to machine
-    precision otherwise reads a bound a few ulps either side of its
-    objective.
-    B is the solver's floor: without one (none, or one the cone implies) M
-    is zero and the bound is that of the relaxation without B, whose
-    optimum is the same.  With ``G`` = 0 and the multipliers' step for
-    ``Y_el``, ``Y_E`` and ``Y_beta``, a negative value is a Farkas
-    certificate: no feasible Y exists.
+    Status ``optimal`` means the certified test stopped the loop, and
+    ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
+    means a Farkas certificate stopped it; ``max_iter`` returns the last
+    plain step.  ``sol.dual_bound`` is a valid upper bound under every
+    status but ``infeasible``, where it is None.  The residuals also carry
+    the ADMM ``primal`` and ``dual`` residuals of the last check;
+    ``sol.info`` reports the fixed penalty (``rho``), the final size of the
+    working set (``working_cuts``), the accepted (``aa_steps``) and rejected
+    (``aa_rejected``) accelerated steps over the whole solve, and the
+    model's name (``model``).
     """
-    n = sp.n
-    # ``scale`` sums the magnitudes of the bound's terms, for its rounding
-    if sp.diag is not None:
-        nu = -np.diag(Y_el)
-        S = np.diag(nu) - G
-        value = float(nu @ sp.diag)
-        scale = float(np.abs(nu) @ np.abs(sp.diag))
-        dsum = float(np.sum(sp.diag))
-    else:
-        nu0 = -float(np.trace(Y_el)) / n
-        S = nu0 * np.eye(n) - G
-        value = nu0 * sp.trace
-        scale = abs(value)
-        dsum = sp.trace
-    if sp.floor is not None:
-        # stationarity gives y_el = -Diag(nu) + M with M >= 0 supported where
-        # the lower bound is active; clip to the feasible orthant
-        off = ~np.eye(n, dtype=bool)
-        M_hat = np.clip(Y_el[off], 0.0, None)
-        S[off] -= M_hat
-        value -= float(M_hat @ sp.floor[off])
-        scale += float(M_hat @ np.abs(sp.floor[off]))
-
-    # cut c is sum_p coef_p Y_p <= rhs with A_c holding coef_p / 2 at (i, j)
-    # and (j, i); its two-sided entries double the multiplier formula, and
-    # coef_c . (E[pairs_c] + beta_c coef_c) = A(E)_c + beta_c |coef_c|^2
-    if cuts.size:
-        mu = np.clip(-2.0 * (cuts.apply(Y_E) / cuts.normsq + Y_beta), 0.0, None)
-        value += float(mu @ cuts.rhs)
-        scale += float(mu @ np.abs(cuts.rhs))
-        S += 0.5 * cuts.scatter(mu)
-
-    eps = float(np.finfo(float).eps)
-    t = max(0.0, n * eps * float(np.linalg.norm(S)) - float(np.linalg.eigvalsh(S)[0]))
-    value += t * (dsum - n * sp.shift) - sp.shift * float(S.sum())
-    scale += abs(t * (dsum - n * sp.shift)) + sp.shift * float(np.abs(S).sum())
-    # each sum rounds by at most its length times eps times its terms'
-    # magnitudes: pad by that, so the float bound stays above the exact one
-    return value + (n * n + cuts.size) * eps * scale
+    return _SolverState(model, options or SolverOptions()).run()
 
 
 @dataclass(frozen=True)
@@ -988,8 +966,9 @@ def certify(model: SdpModel, sol: SdpSolution, tol: float = 1e-7) -> Certificati
     solver's stop test runs on the matrix it returns.
 
     The routine reads only the model and the matrix, never the solver's
-    iterate or multipliers, so a broken solve cannot certify itself.  A matrix that is not finite or not symmetric (within
-    1e-10) is rejected with ``ValueError``.
+    iterate or multipliers, so a broken solve cannot certify itself.  A
+    matrix that is not finite, or not symmetric within 1e-10, is rejected
+    with ``ValueError``.
     """
     Y = np.asarray(sol.Y, dtype=float)
     if Y.shape != (model.n, model.n) or not np.all(np.isfinite(Y)):

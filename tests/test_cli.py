@@ -163,6 +163,22 @@ def test_graph_file_header_above_the_vertex_cap(tmp_path, capsys, name, text, fm
     assert err == "error: the graph file has 10000000 vertices, above the cap 4096\n"
 
 
+@pytest.mark.parametrize("text, want", [
+    ("p edge -1 0\n", "line 1: need n >= 1 and m >= 0"),
+    ("p edge 0 0\n", "line 1: need n >= 1 and m >= 0"),
+    ("p edge 3 0\np edge 4 0\n", "line 2: second problem line"),
+], ids=["negative_n", "zero_n", "second_problem_line"])
+def test_dimacs_problem_line_is_checked_as_the_edge_list_header(tmp_path, capsys, text, want):
+    # these exited 2 with numpy's "negative dimensions", reached "--k must
+    # lie in 2..0", and silently read the second graph
+    path = tmp_path / "g.col"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "bound", str(path), "--format", "dimacs", "--k", "2",
+                           "--method", "eig")
+    assert code == EXIT_PARSE
+    assert err.startswith("error:") and want in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("family, want", [
     (("complete", "5", "6"), "complete(n) takes 1 parameter, got 2"),
     (("hamming", "6", "2", "1", "100000"), "hamming(d, q, j) takes 3 parameters, got 4"),

@@ -19,7 +19,7 @@ from kcut.sdp import (
     SdpSolution,
     SolverOptions,
     _Cuts,
-    _SolverSpace,
+    _SolverState,
     _check_at,
     certify,
     dump_model,
@@ -68,6 +68,25 @@ def test_model_validation():
     for coeffs, rhs in (((1.0, math.nan), 1.0), ((math.inf, 1.0), 1.0), ((1.0, 1.0), -math.inf)):
         with pytest.raises(ValueError, match="finite"):
             Cut(pairs=((0, 1), (0, 2)), coeffs=coeffs, rhs=rhs)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("objective", np.diag([0.0, 0.0, 0.0, math.nan])),
+    ("obj_scale", math.inf),
+    ("diag_values", [1.0, 1.0, 1.0, math.inf]),
+    ("trace_value", math.nan),
+    ("elementwise_lower", np.full((4, 4), math.nan)),
+    ("cone_k", 2.5),
+])
+def test_model_rejects_non_finite_data(name, value):
+    # each non-finite field ran the loop into "Eigenvalues did not converge",
+    # and cone_k = 2.5 solved silently
+    data = dict(n=4, objective=np.eye(4), diag_values=np.ones(4), cone="shifted_psd", cone_k=2)
+    if name == "trace_value":
+        data["diag_values"] = None
+    data[name] = value
+    with pytest.raises(ValueError, match=name):
+        SdpModel(**data)
 
 
 def test_cut_list_from_arrays_validates_like_cut():
@@ -377,6 +396,49 @@ def test_working_set_grows_at_the_first_check():
         assert 0 < sol.info["working_cuts"] < cuts
 
 
+def _assert_one_buffer(state, m):
+    # (buffer, X, U_el, E, beta): X, U_el, E and beta tile the flat buffer
+    buf, X, U_el, E, beta = state
+    nn = X.size
+    assert buf.shape == (3 * nn + m,) and beta.shape == (m,)
+    start = buf.__array_interface__["data"][0]
+    for a, offset in ((X, 0), (U_el, nn), (E, 2 * nn), (beta, 3 * nn)):
+        assert a.base is buf
+        if a.size:  # an empty view's address is the buffer's own
+            assert a.__array_interface__["data"][0] == start + 8 * offset
+
+
+def test_solver_state_is_views_of_one_buffer(monkeypatch):
+    # without cuts E still sits in the buffer; Coxeter with all its triangle
+    # cuts grows its working set at iteration 1 and again later, and each
+    # growth carries the plain step over, the kept cuts' beta included
+    free = _SolverState(build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP),
+                        SolverOptions())
+    for state in (free.x, free.y):
+        _assert_one_buffer(state, 0)
+    growths = []
+    check = _SolverState.check
+
+    def checked_growth(self, it):
+        working, step = self.working.copy(), [a.copy() for a in self.y[1:]]
+        verdict = check(self, it)
+        if verdict == "grown":
+            for state in (self.x, self.y):
+                _assert_one_buffer(state, self.wc.size)
+            _, X, U_el, E, beta = self.x
+            assert all(map(np.array_equal, (X, U_el, E), step[:3]))
+            kept = working[self.working]
+            assert np.array_equal(beta[kept], step[3]) and not beta[~kept].any()
+            growths.append((it, np.count_nonzero(beta[kept])))
+        return verdict
+
+    monkeypatch.setattr(_SolverState, "check", checked_growth)
+    cox = build(named_graph("coxeter"), 2, RelaxationKind.MAIN_SDP)
+    cox.cuts.extend(triangle_cuts(28))
+    assert solve(cox).status == "optimal"
+    assert growths[0] == (1, 0) and len(growths) > 1 and all(nz for _, nz in growths[1:])
+
+
 def test_penalty_is_fixed_for_the_solve():
     # at some checks of this solve one ADMM residual exceeds the other
     # tenfold; the penalty stays at its objective-norm scale all the same
@@ -384,7 +446,8 @@ def test_penalty_is_fixed_for_the_solve():
     model = build(g, 3, RelaxationKind.MAIN_SDP)
     sol = solve(model)
     assert sol.status == "optimal"
-    assert sol.info["rho"] == max(float(np.linalg.norm(_SolverSpace(model).G)) / g.n, 1e-3)
+    assert sol.info["rho"] == max(
+        float(np.linalg.norm(_SolverState(model, SolverOptions()).G)) / g.n, 1e-3)
 
 
 def test_dominance_tail_certifies_quickly():
@@ -576,7 +639,7 @@ def test_implied_floor_is_dropped_at_k2():
     v = solve(build(g, 2, RelaxationKind.PERTURBED_SDP)).objective_value
     for kind in (RelaxationKind.MAIN_SDP, RelaxationKind.FRIEZE_JERRUM):
         model = build(g, 2, kind)
-        assert _SolverSpace(model).floor is None
+        assert _SolverState(model, SolverOptions()).floor is None
         sol = solve(model)
         assert sol.status == "optimal" and sol.iterations <= 1_000
         assert abs(sol.objective_value - v) <= 1e-5 * (1 + abs(v))
@@ -590,14 +653,14 @@ def test_floor_is_enforced_where_not_implied():
     _, exact = brute_force_maxkcut(g, 3)
     for kind in (RelaxationKind.MAIN_SDP, RelaxationKind.FRIEZE_JERRUM):
         model = build(g, 3, kind)
-        assert _SolverSpace(model).floor is not None
+        assert _SolverState(model, SolverOptions()).floor is not None
         sol = solve(model)
         assert sol.status == "optimal" and certify(model, sol).lower_ok
         assert sol.objective_value >= exact
     # a trace constraint bounds no single entry: its floor always stays
     trace = SdpModel(n=4, objective=np.eye(4), trace_value=4.0,
                      elementwise_lower=np.full((4, 4), -10.0))
-    assert _SolverSpace(trace).floor is not None
+    assert _SolverState(trace, SolverOptions()).floor is not None
 
 
 def test_lightly_cut_model_is_accelerated():
