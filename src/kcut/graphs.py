@@ -291,7 +291,7 @@ def _coxeter() -> Graph:
 def _hamming(d: int, q: int, j: int) -> Graph:
     from .hamming import hamming_graph
 
-    return hamming_graph(d, q, j, cap=VERTEX_CAP)
+    return hamming_graph(d, q, j)
 
 
 # each family's builder and the names of its parameters

@@ -16,7 +16,8 @@ from math import comb
 import numpy as np
 
 from .errors import CapExceeded
-from .graphs import VERTEX_CAP, Graph, Partition, cut_weight
+from . import graphs
+from .graphs import Graph, Partition, cut_weight
 
 __all__ = [
     "KravchukTable",
@@ -109,7 +110,7 @@ def _digit_matrix(d: int, q: int) -> np.ndarray:
     return digs
 
 
-def hamming_graph(d: int, q: int, j: int, cap: int = VERTEX_CAP) -> Graph:
+def hamming_graph(d: int, q: int, j: int) -> Graph:
     """Graph H(d,q,j) on q^d vertices: adjacency = differing in exactly j
     coordinates.  Regular of degree C(d,j)(q-1)^j; the exact Laplacian
     spectrum {K_j(0) - K_j(i)} is attached for use as an eigensolver check.
@@ -118,8 +119,10 @@ def hamming_graph(d: int, q: int, j: int, cap: int = VERTEX_CAP) -> Graph:
         raise ValueError("need 1 <= j <= d")
     if q < 2:
         raise ValueError("alphabet size q must be >= 2")
+    # the cap is read when called, as the other named families read it;
     # q^d >= 2^d > cap once d reaches cap's bit length: not counted, since
     # 3^(10^7) alone takes seconds
+    cap = graphs.VERTEX_CAP
     if d >= cap.bit_length() or q**d > cap:
         raise CapExceeded(f"H({d},{q},{j}) has {q}^{d} vertices, above the cap {cap}")
     n = q**d
@@ -213,15 +216,13 @@ def conjecture_grid(dmax: int, qmax: int) -> list[ConjectureReport]:
     return [check_conjecture(d, q) for d in range(1, dmax + 1) for q in range(2, qmax + 1)]
 
 
-def first_coordinate_qcut(
-    d: int, q: int, j: int, cap: int = VERTEX_CAP
-) -> tuple[Partition, int]:
+def first_coordinate_qcut(d: int, q: int, j: int) -> tuple[Partition, int]:
     """The q-cut of H(d,q,j) that splits vertices by their first coordinate.
 
     Returns the partition and its exact cut weight, which satisfies the
     integer identity 2q * cut = n (q-1) * hamming_lambda(d,q,j).
     """
-    g = hamming_graph(d, q, j, cap=cap)
+    g = hamming_graph(d, q, j)
     digs = _digit_matrix(d, q)
     part = Partition(assignment=digs[:, 0], k=q)
     value = cut_weight(g, part)
@@ -263,7 +264,6 @@ def hamming_tightness_certificate(
     j: int,
     solve_k: tuple[int, ...] = (),
     solver_options=None,
-    cap: int = VERTEX_CAP,
 ) -> TightnessReport:
     """Certify max-q-cut tightness of the eigenvalue bound for H(d,q,j).
 
@@ -290,7 +290,7 @@ def hamming_tightness_certificate(
         )
     lam = hamming_lambda(d, q, j)
     n = q**d
-    _, cut = first_coordinate_qcut(d, q, j, cap=cap)
+    _, cut = first_coordinate_qcut(d, q, j)
     bound_2q = n * (q - 1) * lam  # 2q * (eigenvalue bound at k = q)
     tight = 2 * q * cut == bound_2q
 
@@ -299,7 +299,7 @@ def hamming_tightness_certificate(
         from .relaxations import RelaxationKind, build
         from .sdp import solve
 
-        g = hamming_graph(d, q, j, cap=cap)
+        g = hamming_graph(d, q, j)
         for k in solve_k:
             if not 2 <= k <= q:
                 raise ValueError(f"solve_k entries must satisfy 2 <= k <= q, got {k}")

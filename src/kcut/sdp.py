@@ -295,8 +295,9 @@ class SdpModel:
     (cone_k * Y - J >= 0 with integer cone_k >= 2).  ``elementwise_lower``
     bounds every off-diagonal entry from below (the diagonal is pinned by the
     equality constraints).  ``cuts`` is a CutList; a list of ``Cut`` objects
-    given here is made into one.  Every number given must be finite: a
-    non-finite one raises ValueError naming its field.
+    given here is made into one.  ``n`` must be an integer >= 1, and every
+    number given must be finite: a value that breaks either raises
+    ValueError naming its field.
     """
 
     n: int
@@ -311,6 +312,8 @@ class SdpModel:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         C = np.asarray(self.objective, dtype=float)
         if (C.shape != (self.n, self.n) or not np.isfinite(C).all()
                 or np.max(np.abs(C - C.T)) > 1e-10):
@@ -327,7 +330,7 @@ class SdpModel:
             raise ValueError(f"unknown cone {self.cone!r}")
         if self.cone == "shifted_psd":
             if not isinstance(self.cone_k, numbers.Integral) or self.cone_k < 2:
-                raise ValueError("shifted_psd requires integer cone_k >= 2")
+                raise ValueError("cone_k must be an integer >= 2 for the shifted_psd cone")
         if self.elementwise_lower is not None:
             B = np.asarray(self.elementwise_lower, dtype=float)
             if B.shape != (self.n, self.n):
@@ -361,8 +364,9 @@ class SolverOptions:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         for name in ("max_iter", "n_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 _ALPHA = 1.6  # over-relaxation

@@ -77,16 +77,26 @@ def test_model_validation():
     ("trace_value", math.nan),
     ("elementwise_lower", np.full((4, 4), math.nan)),
     ("cone_k", 2.5),
+    ("n", 0),
+    ("n", 2.0),
 ])
 def test_model_rejects_non_finite_data(name, value):
     # each non-finite field ran the loop into "Eigenvalues did not converge",
-    # and cone_k = 2.5 solved silently
+    # cone_k = 2.5 solved silently, n = 0 failed inside numpy and n = 2.0
+    # constructed silently
     data = dict(n=4, objective=np.eye(4), diag_values=np.ones(4), cone="shifted_psd", cone_k=2)
     if name == "trace_value":
         data["diag_values"] = None
     data[name] = value
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
         SdpModel(**data)
+
+
+@pytest.mark.parametrize("name, value", [("max_iter", 2.5), ("n_cap", 1.5)])
+def test_solver_options_reject_non_integer_counts(name, value):
+    # max_iter = 2.5 passed the >= 1 check and failed in the loop's range
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        SolverOptions(**{name: value})
 
 
 def test_cut_list_from_arrays_validates_like_cut():
