@@ -63,8 +63,6 @@ from .sdp import (
 )
 from .spectra import (
     IdempotentBasis,
-    Spectrum,
-    eigendecompose,
     idempotent_basis,
     lambda_max,
     top_idempotent_diag_constant,

@@ -31,12 +31,13 @@ from .bounds import (
 )
 from .graphs import Graph, Partition, cut_weight, laplacian, named_graph
 from .hamming import (
+    HammingHypothesisError,
     conjecture_grid,
     first_coordinate_qcut,
     hamming_graph,
     hamming_lambda,
+    hamming_tightness_certificate,
     in_conjecture_hypothesis,
-    kravchuk_table,
 )
 from .oracle import brute_force_maxkcut, brute_force_table, hyperplane_round
 from .relaxations import (
@@ -388,18 +389,16 @@ def group_hamming():
     yield "conjecture_grid_under_1min", grid_t < 60.0, f"{grid_t:.1f}s"
 
     # exact tightness identity for every hypothesis instance with q^d <= 729
-    # (d = 1 is the complete-graph family, verified separately on a sample)
+    # (d = 1 is the complete-graph family, verified separately on a sample:
+    # q = 2, j = 1 lies outside the hypothesis)
     detail = ""
     instances = _hamming_instances(729, dmin=2)
     for d, q, j in instances:
-        lam = hamming_lambda(d, q, j)
-        table = kravchuk_table(d, q)
-        if min(table.K[j]) != table.K[j][1]:
-            detail = f"H({d},{q},{j}): lambda not maximal"
-            continue
-        _, cut = first_coordinate_qcut(d, q, j)
-        if 2 * q * cut != (q**d) * (q - 1) * lam:
-            detail = f"H({d},{q},{j}): cut {cut} != bound"
+        try:
+            if not hamming_tightness_certificate(d, q, j).tight:
+                detail = f"H({d},{q},{j}): cut below the eigenvalue bound"
+        except HammingHypothesisError as exc:
+            detail = str(exc)
     for q in (2, 3, 5, 9, 27):
         lam = hamming_lambda(1, q, 1)
         _, cut = first_coordinate_qcut(1, q, 1)

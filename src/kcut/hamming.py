@@ -276,6 +276,9 @@ def hamming_tightness_certificate(
     certified dual bound, an upper bound however the solve ends, is reported
     next to the eigenvalue bound.
     """
+    for k in solve_k:
+        if not 2 <= k <= q:
+            raise ValueError(f"solve_k entries must satisfy 2 <= k <= q, got {k}")
     if not in_conjecture_hypothesis(d, q, j):
         raise HammingHypothesisError(
             f"H({d},{q},{j}): hypothesis j >= d-(d-1)/q (j even if q=2) fails; "
@@ -301,8 +304,6 @@ def hamming_tightness_certificate(
 
         g = hamming_graph(d, q, j)
         for k in solve_k:
-            if not 2 <= k <= q:
-                raise ValueError(f"solve_k entries must satisfy 2 <= k <= q, got {k}")
             sol = solve(build(g, k, RelaxationKind.MAIN_SDP), solver_options)
             eig_bound = n * (k - 1) / (2.0 * k) * lam
             sdp_checks[k] = (sol.dual_bound, eig_bound)

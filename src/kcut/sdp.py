@@ -129,15 +129,10 @@ __all__ = [
     "SolverOptions",
     "SdpSolution",
     "CertificationReport",
-    "SdpError",
     "solve",
     "certify",
     "dump_model",
 ]
-
-
-class SdpError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Dense symmetric eigendecomposition and the Laplacian idempotent basis.
+"""The largest Laplacian eigenvalue and the Laplacian idempotent basis.
 
-Eigenvalues are grouped into numerically distinct values; for Laplacians the
-zero eigenspace is split so that the first idempotent is always the all-ones
+Eigenvalues are grouped into numerically distinct values; the zero
+eigenspace is split so that the first idempotent is always the all-ones
 projector J/n, which keeps disconnected graphs consistent with the convention
 used by the eigenvalue bounds.
 """
@@ -15,50 +15,11 @@ import numpy as np
 from .graphs import Graph, laplacian
 
 __all__ = [
-    "Spectrum",
     "IdempotentBasis",
-    "SpectraError",
-    "eigendecompose",
     "lambda_max",
     "idempotent_basis",
     "top_idempotent_diag_constant",
 ]
-
-
-class SpectraError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Grouped eigendecomposition of a symmetric matrix.
-
-    ``distinct_values`` is ascending; ``multiplicities`` sums to n; columns of
-    ``eigenbasis`` are orthonormal and grouped by eigenvalue in the same order.
-    """
-
-    distinct_values: np.ndarray
-    multiplicities: np.ndarray
-    eigenbasis: np.ndarray
-    grouping_tolerance: float
-
-    @property
-    def n(self) -> int:
-        return self.eigenbasis.shape[0]
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.distinct_values[-1])
-
-    def group_projector(self, i: int) -> np.ndarray:
-        """Orthogonal projector onto the i-th (ascending) eigenspace."""
-        start = int(np.sum(self.multiplicities[:i]))
-        U = self.eigenbasis[:, start : start + int(self.multiplicities[i])]
-        return U @ U.T
-
-    def reconstruct(self) -> np.ndarray:
-        vals = np.repeat(self.distinct_values, self.multiplicities)
-        return (self.eigenbasis * vals) @ self.eigenbasis.T
 
 
 @dataclass(frozen=True)
@@ -74,58 +35,9 @@ class IdempotentBasis:
     eigenvalues: np.ndarray  # Laplacian eigenvalue per projector
     multiplicities: np.ndarray  # rank (= trace) per projector
 
-    @property
-    def m(self) -> int:
-        """Index of the last idempotent (the one for lambda_max)."""
-        return len(self.projectors) - 1
-
     def top(self) -> np.ndarray:
         """Idempotent of the largest Laplacian eigenvalue."""
         return self.projectors[-1]
-
-
-def eigendecompose(M: np.ndarray, grouping_tolerance: float | None = None) -> Spectrum:
-    """Eigendecompose a symmetric matrix, merging numerically equal eigenvalues.
-
-    Parameters
-    ----------
-    M : ndarray
-        Symmetric matrix (asymmetry above 1e-10 is rejected).
-    grouping_tolerance : float, optional
-        Threshold used to merge adjacent eigenvalues into one distinct value.
-        Defaults to ``1e-7 * (1 + max|M|)``; multiplicity detection feeds the
-        idempotent construction, so callers with clustered spectra may need
-        to widen or narrow it.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if M.size and np.max(np.abs(M - M.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    scale = float(np.max(np.abs(M))) if M.size else 0.0
-    if grouping_tolerance is None:
-        grouping_tolerance = 1e-7 * (1.0 + scale)
-    try:
-        w, Q = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SpectraError(f"eigensolver did not converge: {exc}") from exc
-
-    distinct = []
-    mult = []
-    for val in w:
-        if distinct and val - distinct[-1] <= grouping_tolerance:
-            # merging keeps the group mean so residuals stay balanced
-            distinct[-1] += (val - distinct[-1]) / (mult[-1] + 1)
-            mult[-1] += 1
-        else:
-            distinct.append(float(val))
-            mult.append(1)
-    return Spectrum(
-        distinct_values=np.array(distinct),
-        multiplicities=np.array(mult, dtype=int),
-        eigenbasis=Q,
-        grouping_tolerance=grouping_tolerance,
-    )
 
 
 def lambda_max(g: Graph) -> float:
@@ -134,31 +46,34 @@ def lambda_max(g: Graph) -> float:
     return float(np.linalg.eigvalsh(L)[-1])
 
 
-def idempotent_basis(g: Graph, grouping_tolerance: float | None = None) -> IdempotentBasis:
+def idempotent_basis(g: Graph) -> IdempotentBasis:
     """Idempotent basis of the Laplacian algebra of ``g``.
 
-    The zero eigenspace is split so that F_0 is exactly J/n; for a
-    disconnected graph the complementary zero projector follows as its own
-    idempotent.  Satisfies sum F_i = I, F_i F_j = delta_ij F_i, tr F_i = f_i.
+    Ascending eigenvalues within 1e-7 (1 + max|L|) of their neighbour share
+    one eigenspace; the first is the zero eigenspace, as L has zero row
+    sums.  It is split so that F_0 is exactly J/n; for a disconnected graph
+    the complementary zero projector follows as its own idempotent.
+    Satisfies sum F_i = I, F_i F_j = delta_ij F_i, tr F_i = f_i.
     """
     n = g.n
-    spec = eigendecompose(laplacian(g).L, grouping_tolerance)
-    if abs(spec.distinct_values[0]) > spec.grouping_tolerance:
-        raise SpectraError("Laplacian has no zero eigenvalue; input is not a Laplacian")
+    L = laplacian(g).L
+    w, Q = np.linalg.eigh(L)
+    # an eigenspace ends wherever the gap to the next eigenvalue exceeds the tolerance
+    ends = [*(np.flatnonzero(np.diff(w) > 1e-7 * (1.0 + np.max(np.abs(L)))) + 1), n]
     J_over_n = np.full((n, n), 1.0 / n)
     projectors: list[np.ndarray] = [J_over_n]
     eigenvalues: list[float] = [0.0]
     multiplicities: list[int] = [1]
-    zero_mult = int(spec.multiplicities[0])
-    if zero_mult > 1:
-        P0 = spec.group_projector(0)
-        projectors.append(P0 - J_over_n)
+    if ends[0] > 1:  # disconnected: the rest of the zero eigenspace
+        U = Q[:, : ends[0]]
+        projectors.append(U @ U.T - J_over_n)
         eigenvalues.append(0.0)
-        multiplicities.append(zero_mult - 1)
-    for i in range(1, len(spec.distinct_values)):
-        projectors.append(spec.group_projector(i))
-        eigenvalues.append(float(spec.distinct_values[i]))
-        multiplicities.append(int(spec.multiplicities[i]))
+        multiplicities.append(ends[0] - 1)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        U = Q[:, lo:hi]
+        projectors.append(U @ U.T)
+        eigenvalues.append(float(w[lo:hi].mean()))
+        multiplicities.append(int(hi - lo))
     return IdempotentBasis(
         projectors=tuple(projectors),
         eigenvalues=np.array(eigenvalues),

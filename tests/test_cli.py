@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from kcut.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
+from kcut.bounds import SrgParameters, srg_sdp_bound
+from kcut.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, _detect_srg, main
+from kcut.graphs import named_graph
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +199,52 @@ def test_exit_code_srg_rejects_non_srg(tmp_path, capsys):
     assert code == EXIT_PARSE and "regular" in err
 
 
+_SRG = [  # family, (kappa, lam, mu)
+    (("cycle", "5"), (2, 0, 1)),
+    (("petersen",), (3, 0, 1)),
+    (("kneser", "6", "2"), (6, 1, 3)),
+    (("kneser", "7", "2"), (10, 3, 6)),
+    (("complete_multipartite", "3", "2"), (4, 2, 4)),
+    (("complete_multipartite", "3", "3"), (6, 3, 6)),
+    (("hamming", "2", "3", "1"), (4, 1, 2)),
+    (("hamming", "2", "4", "1"), (6, 2, 2)),
+    (("hamming", "2", "5", "1"), (8, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("family, params", _SRG, ids=["_".join(f) for f, _ in _SRG])
+def test_bound_srg_reads_exact_parameters(capsys, family, params):
+    g = named_graph(family[0], tuple(int(p) for p in family[1:]))
+    p = SrgParameters(g.n, *params)
+    assert _detect_srg(g) == p
+    for k in range(2, g.n):
+        code, out, _ = run_cli(capsys, "bound", "--family", *family, "--k", str(k),
+                               "--method", "srg", "--json")
+        assert code == 0
+        payload, want = json.loads(out), srg_sdp_bound(p, k)
+        assert payload["value"] == want.value
+        assert payload["active_term"] == want.metadata["active_term"]
+
+
+@pytest.mark.parametrize("source, want", [
+    ("10 15\n" + "".join(f"{i} {j} 2\n" for i, j, _ in named_graph("petersen").edges()),
+     "unweighted"),
+    ("6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n", "connected"),  # 2K_3: mu = 0
+    ("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n", "not strongly regular"),  # C_6
+    (("complete", "5"), "not strongly regular"),  # no non-adjacent pair, so no mu
+    (("coxeter",), "not strongly regular"),  # distance-regular of diameter 4
+], ids=["petersen_weight_2", "2K3", "C6", "K5", "coxeter"])
+def test_exit_code_srg_refusals(tmp_path, capsys, source, want):
+    if isinstance(source, str):
+        (tmp_path / "g.txt").write_text(source)
+        argv = (str(tmp_path / "g.txt"),)
+    else:
+        argv = ("--family", *source)
+    code, _, err = run_cli(capsys, "bound", *argv, "--k", "2", "--method", "srg")
+    assert code == EXIT_PARSE
+    assert err.startswith("error:") and want in err and len(err.splitlines()) == 1
+
+
 def test_exit_code_cap(capsys):
     code, _, err = run_cli(capsys, "exact", "--family", "kneser", "6", "2", "--k", "6")
     assert code == EXIT_CAP and "states" in err
@@ -217,7 +265,6 @@ def test_exit_code_solver_failure(tmp_path, capsys):
 @pytest.mark.parametrize("method, routine", [
     ("eig", "eigvalsh"), ("chromatic", "eigvalsh"),  # LinAlgError from lambda_max
     ("hoffman", "eigvalsh"),  # LinAlgError from hoffman_bound
-    ("srg", "eigh"),  # SpectraError from eigendecompose
     ("perturbed", "eigh"), ("sdp", "eigh"), ("sdp+triangles", "eigh"),  # inside solve
 ])
 def test_exit_code_eigensolver_failure(monkeypatch, capsys, method, routine):
@@ -255,6 +302,14 @@ def test_conjecture_command(tmp_path, capsys):
                            "--out", str(path))
     assert code == 0 and "PASS" in out
     assert path.read_text().startswith("d,q,j,")
+
+
+@pytest.mark.parametrize("argv", [("--dmax", "0"), ("--qmax", "1"), ("--dmax", "-2")])
+def test_conjecture_refuses_an_empty_grid(capsys, argv):
+    # these printed PASS over no rows and exited 0
+    code, out, err = run_cli(capsys, "conjecture", *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: need --dmax >= 1 and --qmax >= 2") and len(err.splitlines()) == 1
 
 
 def test_conjecture_json(capsys):

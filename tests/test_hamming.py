@@ -18,7 +18,6 @@ from kcut.hamming import (
     kravchuk,
     kravchuk_table,
 )
-from kcut.spectra import eigendecompose
 
 
 def test_kravchuk_top_row_alternates():
@@ -73,12 +72,9 @@ def test_hamming_graph_small():
 def test_hamming_spectrum_matches_kravchuk():
     for d, q, j in [(2, 3, 1), (2, 3, 2), (3, 2, 2), (2, 4, 2), (4, 2, 2), (2, 5, 1)]:
         g = hamming_graph(d, q, j)
-        spec = eigendecompose(laplacian(g).L)
-        exact = g.exact_laplacian_spectrum
-        assert len(exact) == len(spec.distinct_values)
-        for (val, mult), got, gm in zip(exact, spec.distinct_values, spec.multiplicities):
-            assert abs(val - got) <= 1e-8
-            assert mult == gm
+        values, mults = zip(*g.exact_laplacian_spectrum)
+        got = np.linalg.eigvalsh(laplacian(g).L)
+        assert np.max(np.abs(got - np.repeat(values, mults))) <= 1e-8
 
 
 def test_hamming_lambda():
@@ -164,6 +160,20 @@ def test_tightness_certificate():
         hamming_tightness_certificate(3, 2, 1)
     with pytest.raises(HammingHypothesisError):
         hamming_tightness_certificate(4, 2, 3)  # odd j, q = 2
+
+
+def test_tightness_certificate_checks_solve_k_before_any_work(monkeypatch):
+    # k = 7 > q is refused before a graph is built or k = 2 is solved
+    import kcut.hamming
+    import kcut.sdp
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no graph or solve before solve_k is checked")
+
+    monkeypatch.setattr(kcut.hamming, "hamming_graph", fail)
+    monkeypatch.setattr(kcut.sdp, "solve", fail)
+    with pytest.raises(ValueError, match="got 7"):
+        hamming_tightness_certificate(2, 3, 2, solve_k=(2, 7))
 
 
 def test_tightness_certificate_with_sdp():

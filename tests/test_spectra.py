@@ -1,53 +1,7 @@
 import numpy as np
-import pytest
 
-from conftest import random_graph
 from kcut.graphs import Graph, laplacian, named_graph
-from kcut.spectra import (
-    eigendecompose,
-    idempotent_basis,
-    lambda_max,
-    top_idempotent_diag_constant,
-)
-
-
-def test_eigendecompose_identity():
-    spec = eigendecompose(np.eye(3))
-    assert np.array_equal(spec.distinct_values, [1.0])
-    assert np.array_equal(spec.multiplicities, [3])
-
-
-def test_eigendecompose_complete_graph():
-    for n in (3, 5, 9):
-        L = laplacian(named_graph("complete", (n,))).L
-        spec = eigendecompose(L)
-        assert np.allclose(spec.distinct_values, [0.0, float(n)], atol=1e-9)
-        assert np.array_equal(spec.multiplicities, [1, n - 1])
-
-
-def test_eigendecompose_petersen():
-    # adjacency spectrum {3, 1, -2} with multiplicities {1, 5, 4}; L = 3I - A
-    L = laplacian(named_graph("petersen")).L
-    spec = eigendecompose(L)
-    assert np.allclose(spec.distinct_values, [0.0, 2.0, 5.0], atol=1e-9)
-    assert np.array_equal(spec.multiplicities, [1, 5, 4])
-
-
-def test_eigendecompose_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
-def test_eigendecompose_residuals(rng):
-    for _ in range(50):
-        n = int(rng.integers(2, 41))
-        M = rng.standard_normal((n, n))
-        M = (M + M.T) / 2.0
-        spec = eigendecompose(M)
-        Q = spec.eigenbasis
-        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-8
-        assert np.max(np.abs(spec.reconstruct() - M)) <= 1e-8
-        assert int(spec.multiplicities.sum()) == n
+from kcut.spectra import idempotent_basis, lambda_max, top_idempotent_diag_constant
 
 
 def test_exact_spectra_of_generators_match_numeric():
@@ -60,15 +14,9 @@ def test_exact_spectra_of_generators_match_numeric():
         named_graph("hamming", (3, 2, 2)),
     ]
     for g in graphs:
-        spec = eigendecompose(laplacian(g).L)
-        exact = g.exact_laplacian_spectrum
-        assert exact is not None
-        assert len(exact) == len(spec.distinct_values)
-        for (val, mult), got_val, got_mult in zip(
-            exact, spec.distinct_values, spec.multiplicities
-        ):
-            assert abs(val - got_val) <= 1e-9
-            assert mult == got_mult
+        values, mults = zip(*g.exact_laplacian_spectrum)
+        got = np.linalg.eigvalsh(laplacian(g).L)
+        assert np.max(np.abs(got - np.repeat(values, mults))) <= 1e-9
 
 
 def test_lambda_max_examples():
