@@ -32,6 +32,7 @@ from .bounds import (
 from .graphs import Graph, Partition, cut_weight, laplacian, named_graph
 from .hamming import (
     HammingHypothesisError,
+    _first_coordinate_cut,
     conjecture_grid,
     first_coordinate_qcut,
     hamming_graph,
@@ -442,8 +443,7 @@ def group_hamming():
     for d, q in diag:
         g = hamming_graph(d, q, d)
         ceil = chromatic_lower_bound(g).metadata["ceiling"]
-        part, _ = first_coordinate_qcut(d, q, d)
-        colors_cut_all = cut_weight(g, part) == g.total_weight
+        colors_cut_all = _first_coordinate_cut(g, q)[1] == g.total_weight
         if ceil != q or not colors_cut_all:
             detail = f"H({d},{q},{d}): chromatic ceiling {ceil}, proper coloring {colors_cut_all}"
     yield ("chromatic_number_of_H(d,q,d)_is_q", not detail,

@@ -62,7 +62,7 @@ class Graph:
         Label used in reports.
     exact_laplacian_spectrum : tuple of (float, int), optional
         Closed-form Laplacian spectrum ``(eigenvalue, multiplicity)`` in
-        ascending order, attached by generators whose spectrum is known;
+        ascending order, merged exactly from the generator's closed form;
         used as a cross-check against the numeric eigensolver.
     """
 
@@ -205,12 +205,23 @@ def _check_vertices(n: int, label: str):
         raise CapExceeded(f"{label} has {n} vertices, above the cap {VERTEX_CAP}")
 
 
+def _merged_spectrum(pairs) -> tuple[tuple[float, int], ...]:
+    """The exact Laplacian spectrum from (eigenvalue, multiplicity) pairs,
+    shared by the complete, multipartite, cycle and Hamming families: equal
+    eigenvalues merged exactly, with no tolerance, zero multiplicities
+    dropped, in ascending order."""
+    groups: dict = {}
+    for value, mult in pairs:
+        groups[value] = groups.get(value, 0) + mult
+    return tuple((float(v), m) for v, m in sorted(groups.items()) if m)
+
+
 def _complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     _check_vertices(n, f"K_{n}")
     W = 1.0 - np.eye(n)
-    spec = ((0.0, 1), (float(n), n - 1)) if n > 1 else ((0.0, 1),)
+    spec = _merged_spectrum([(0, 1), (n, n - 1)])
     return Graph(n=n, weights=W, name=f"K_{n}", exact_laplacian_spectrum=spec)
 
 
@@ -221,15 +232,7 @@ def _complete_multipartite(k: int, m: int) -> Graph:
     _check_vertices(n, f"K_{k}x{m}")
     part = np.repeat(np.arange(k), m)
     W = (part[:, None] != part[None, :]).astype(float)
-    if k == 1:
-        spec = ((0.0, 1),) if n == 1 else ((0.0, n),)
-    else:
-        spec = []
-        spec.append((0.0, 1))
-        if m > 1:
-            spec.append((float(n - m), k * (m - 1)))
-        spec.append((float(n), k - 1))
-        spec = tuple(spec)
+    spec = _merged_spectrum([(0, 1), (n - m, k * (m - 1)), (n, k - 1)])
     return Graph(n=n, weights=W, name=f"K_{k}x{m}", exact_laplacian_spectrum=spec)
 
 
@@ -241,15 +244,9 @@ def _cycle(n: int) -> Graph:
     idx = np.arange(n)
     W[idx, (idx + 1) % n] = 1.0
     W[(idx + 1) % n, idx] = 1.0
-    groups: dict[float, int] = {}
-    for t in range(n):
-        lam = 2.0 - 2.0 * math.cos(2.0 * math.pi * t / n)
-        key = min(groups, key=lambda v: abs(v - lam), default=None)
-        if key is not None and abs(key - lam) < 1e-12:
-            groups[key] += 1
-        else:
-            groups[lam] = 1
-    spec = tuple(sorted(groups.items()))
+    # 2 - 2 cos(2 pi t / n), computed once for t and n - t so the two merge
+    spec = _merged_spectrum(
+        (2.0 - 2.0 * math.cos(2.0 * math.pi * min(t, n - t) / n), 1) for t in range(n))
     return Graph(n=n, weights=W, name=f"C_{n}", exact_laplacian_spectrum=spec)
 
 

@@ -5,11 +5,12 @@ q-cut with its exact tightness certificate.
 All Kravchuk and multiplicity computations use Python integers, so the
 conjecture grid is exact even at d = 30, q = 15; floating point only enters
 when building dense adjacency matrices or talking to the SDP machinery.
+Each exact fact is computed once and reported, not asserted: the
+certificate's ``tight`` is its own comparison, not an identity check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -95,25 +96,14 @@ def kravchuk_table(d: int, q: int) -> KravchukTable:
         prev = cur
     K = tuple(tuple(row) for row in rows)
     mult = tuple(comb(d, i) * (q - 1) ** i for i in range(d + 1))
-    assert sum(mult) == q**d
     return KravchukTable(d=d, q=q, K=K, multiplicities=mult)
 
 
-def _digit_matrix(d: int, q: int) -> np.ndarray:
-    # vertex v <-> tuple (x_1..x_d) with v = sum x_t q^(t-1)
-    n = q**d
-    digs = np.empty((n, d), dtype=np.int64)
-    v = np.arange(n)
-    for t in range(d):
-        digs[:, t] = v % q
-        v = v // q
-    return digs
-
-
 def hamming_graph(d: int, q: int, j: int) -> Graph:
-    """Graph H(d,q,j) on q^d vertices: adjacency = differing in exactly j
-    coordinates.  Regular of degree C(d,j)(q-1)^j; the exact Laplacian
-    spectrum {K_j(0) - K_j(i)} is attached for use as an eigensolver check.
+    """Graph H(d,q,j) on q^d vertices, vertex v the word (x_1..x_d) with
+    v = sum x_t q^(t-1): adjacency = differing in exactly j coordinates.
+    Regular of degree C(d,j)(q-1)^j; the exact Laplacian spectrum
+    {K_j(0) - K_j(i)} is attached for use as an eigensolver check.
     """
     if not 1 <= j <= d:
         raise ValueError("need 1 <= j <= d")
@@ -126,18 +116,15 @@ def hamming_graph(d: int, q: int, j: int) -> Graph:
     if d >= cap.bit_length() or q**d > cap:
         raise CapExceeded(f"H({d},{q},{j}) has {q}^{d} vertices, above the cap {cap}")
     n = q**d
-    digs = _digit_matrix(d, q)
     diff = np.zeros((n, n), dtype=np.int64)
     for t in range(d):
-        diff += digs[:, t, None] != digs[None, :, t]
+        x = np.arange(n) // q**t % q  # x_(t+1) of every vertex
+        diff += x[:, None] != x[None, :]
     W = (diff == j).astype(float)
 
     table = kravchuk_table(d, q)
-    groups: dict[int, int] = {}
-    for i in range(d + 1):
-        lam = table.K[j][0] - table.K[j][i]
-        groups[lam] = groups.get(lam, 0) + table.multiplicities[i]
-    spec = tuple((float(v), m) for v, m in sorted(groups.items()))
+    spec = graphs._merged_spectrum(
+        (table.K[j][0] - table.K[j][i], table.multiplicities[i]) for i in range(d + 1))
     return Graph(n=n, weights=W, name=f"H({d},{q},{j})", exact_laplacian_spectrum=spec)
 
 
@@ -146,10 +133,7 @@ def hamming_lambda(d: int, q: int, j: int) -> int:
     of H(d,q,j) attached to the distinguished scheme idempotent."""
     if not 1 <= j <= d:
         raise ValueError("need 1 <= j <= d")
-    lam = kravchuk(d, q, j, 0) - kravchuk(d, q, j, 1)
-    closed = q * (q - 1) ** (j - 1) * comb(d - 1, j - 1)
-    assert lam == closed, (lam, closed)
-    return lam
+    return kravchuk(d, q, j, 0) - kravchuk(d, q, j, 1)
 
 
 def in_conjecture_hypothesis(d: int, q: int, j: int) -> bool:
@@ -216,36 +200,30 @@ def conjecture_grid(dmax: int, qmax: int) -> list[ConjectureReport]:
     return [check_conjecture(d, q) for d in range(1, dmax + 1) for q in range(2, qmax + 1)]
 
 
+def _first_coordinate_cut(g: Graph, q: int) -> tuple[Partition, int]:
+    """The partition of H(d,q,j)'s vertices by their first coordinate, v mod
+    q, and its cut weight on ``g``, an integer for unit weights."""
+    part = Partition(assignment=np.arange(g.n) % q, k=q)
+    return part, int(round(cut_weight(g, part)))
+
+
 def first_coordinate_qcut(d: int, q: int, j: int) -> tuple[Partition, int]:
     """The q-cut of H(d,q,j) that splits vertices by their first coordinate.
 
-    Returns the partition and its exact cut weight, which satisfies the
-    integer identity 2q * cut = n (q-1) * hamming_lambda(d,q,j).
+    Returns the partition and its cut weight weighed on the graph; the
+    tightness certificate compares it with the eigenvalue bound.
     """
-    g = hamming_graph(d, q, j)
-    digs = _digit_matrix(d, q)
-    part = Partition(assignment=digs[:, 0], k=q)
-    value = cut_weight(g, part)
-    cut = int(round(value))
-    assert abs(value - cut) < 1e-9
-    n = q**d
-    lam = hamming_lambda(d, q, j)
-    if 2 * q * cut != n * (q - 1) * lam:
-        raise AssertionError(
-            f"first-coordinate cut identity failed for H({d},{q},{j}): "
-            f"2q*cut={2*q*cut} vs n(q-1)lambda={n*(q-1)*lam}"
-        )
-    return part, cut
+    return _first_coordinate_cut(hamming_graph(d, q, j), q)
 
 
 @dataclass(frozen=True)
 class TightnessReport:
     """Exact tightness of the eigenvalue bound for H(d,q,j) at k = q.
 
-    ``cut_value`` is the first-coordinate q-cut; ``eigenvalue_bound_2q`` holds
-    2q times the k=q eigenvalue bound (an exact integer); ``sdp_checks`` maps
-    k to (certified dual bound of the mainSDP solve, eigenvalue bound) for
-    the numerically verified sizes.
+    ``cut_value`` is the first-coordinate q-cut weighed on the graph;
+    ``eigenvalue_bound_2q`` holds 2q times the k=q eigenvalue bound (an exact
+    integer), and ``tight`` whether the two are equal; ``sdp_checks`` maps k
+    to (certified dual bound of the mainSDP solve, eigenvalue bound).
     """
 
     d: int
@@ -267,50 +245,48 @@ def hamming_tightness_certificate(
 ) -> TightnessReport:
     """Certify max-q-cut tightness of the eigenvalue bound for H(d,q,j).
 
-    Requires the hypothesis j >= d - (d-1)/q (j even if q = 2) and verifies
-    per-instance, in exact arithmetic, that hamming_lambda is the minimal
-    Kravchuk value (hence the largest Laplacian eigenvalue); refuses
-    otherwise.  The exact identity cut = n(k-1)/(2k) lambda at k = q is then
-    checked on the constructed cut.  For each k in ``solve_k`` (k <= q), the
-    relaxation with the full constraint set is solved numerically and its
-    certified dual bound, an upper bound however the solve ends, is reported
-    next to the eigenvalue bound.
+    Reads the hypothesis j >= d - (d-1)/q (j even if q = 2) and the exact
+    Kravchuk minimum from ``check_conjecture(d, q)`` and refuses unless
+    hamming_lambda is the largest Laplacian eigenvalue.  Builds H(d,q,j)
+    once: ``tight`` compares 2q cut with n (q-1) lambda exactly, so a cut
+    below the bound reports False, and for each k in ``solve_k`` (k <= q)
+    the relaxation is solved on the same graph, its certified dual bound, an
+    upper bound however the solve ends, reported next to the eigenvalue
+    bound.
     """
     for k in solve_k:
         if not 2 <= k <= q:
             raise ValueError(f"solve_k entries must satisfy 2 <= k <= q, got {k}")
-    if not in_conjecture_hypothesis(d, q, j):
+    if not 1 <= j <= d:
+        raise ValueError("need 1 <= j <= d")
+    row = check_conjecture(d, q).rows[j - 1]
+    if not row.in_hypothesis:
         raise HammingHypothesisError(
             f"H({d},{q},{j}): hypothesis j >= d-(d-1)/q (j even if q=2) fails; "
             "the eigenvalue-bound tightness statement does not apply"
         )
-    table = kravchuk_table(d, q)
-    vals = table.K[j]
-    if min(vals) != vals[1]:
+    if not row.passed:
         raise HammingHypothesisError(
-            f"H({d},{q},{j}): K_j({int(np.argmin(vals))}) < K_j(1); lambda is not "
+            f"H({d},{q},{j}): K_j({row.argmin}) < K_j(1); lambda is not "
             "the largest Laplacian eigenvalue, certificate refused"
         )
     lam = hamming_lambda(d, q, j)
-    n = q**d
-    _, cut = first_coordinate_qcut(d, q, j)
-    bound_2q = n * (q - 1) * lam  # 2q * (eigenvalue bound at k = q)
-    tight = 2 * q * cut == bound_2q
+    g = hamming_graph(d, q, j)
+    _, cut = _first_coordinate_cut(g, q)
+    bound_2q = g.n * (q - 1) * lam  # 2q * (eigenvalue bound at k = q)
 
-    sdp_checks = {}
-    if solve_k:
-        from .relaxations import RelaxationKind, build
-        from .sdp import solve
+    from .relaxations import RelaxationKind, build
+    from .sdp import solve
 
-        g = hamming_graph(d, q, j)
-        for k in solve_k:
-            sol = solve(build(g, k, RelaxationKind.MAIN_SDP), solver_options)
-            eig_bound = n * (k - 1) / (2.0 * k) * lam
-            sdp_checks[k] = (sol.dual_bound, eig_bound)
-
+    sdp_checks = {
+        k: (solve(build(g, k, RelaxationKind.MAIN_SDP), solver_options).dual_bound,
+            g.n * (k - 1) / (2.0 * k) * lam)
+        for k in solve_k
+    }
     return TightnessReport(
         d=d, q=q, j=j, lam=lam, cut_value=cut,
-        eigenvalue_bound_2q=bound_2q, tight=tight, sdp_checks=sdp_checks,
+        eigenvalue_bound_2q=bound_2q, tight=2 * q * cut == bound_2q,
+        sdp_checks=sdp_checks,
     )
 
 

@@ -123,7 +123,9 @@ def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
     (descending), ties broken lexicographically by (apex, j, k), in one block.
 
     One apex at a time, keeping the best ``max_cuts`` so far: O(n^2 +
-    max_cuts) memory."""
+    max_cuts) memory.  A negative ``max_cuts`` raises ValueError."""
+    if max_cuts < 0:
+        raise ValueError(f"max_cuts must be >= 0, got {max_cuts}")
     n = Y.shape[0]
     jj, kk = np.triu_indices(n, 1)
     y_jk = Y[jj, kk]
@@ -141,16 +143,16 @@ def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
     return _triangles(T[np.arange(len(T))[:, None, None], _APEX_PAIRS[apex]])
 
 
-def independent_set_cuts(n: int, k: int, cap: int = INDEP_SET_CAP) -> CutList:
+def independent_set_cuts(n: int, k: int) -> CutList:
     """One inequality sum_{i<j in Q} y_ij >= 1 per (k+1)-subset Q, in
     lexicographic order, forbidding k+1 pairwise-separated vertices.
-    Exhaustive; refuses above the cap, before building any."""
+    Exhaustive; refuses above INDEP_SET_CAP cuts, before building any."""
     if k + 1 > n:
         raise ValueError("independent-set cuts need k + 1 <= n")
     count = math.comb(n, k + 1)
-    if count > cap:
+    if count > INDEP_SET_CAP:
         raise CapExceeded(
-            f"C({n},{k + 1}) = {count} independent-set cuts exceed the cap {cap}"
+            f"C({n},{k + 1}) = {count} independent-set cuts exceed the cap {INDEP_SET_CAP}"
         )
     P = _subsets(n, k + 1)[:, list(combinations(range(k + 1), 2))]  # Q's pairs, in order
     return CutList.from_arrays(P, np.full(P.shape[:2], -1.0), np.full(count, -1.0))

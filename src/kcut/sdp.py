@@ -146,17 +146,7 @@ class Cut:
     rhs: float
 
     def __post_init__(self):
-        if len(self.pairs) != len(self.coeffs) or not self.pairs:
-            raise ValueError("cut needs matching, nonempty pairs and coeffs")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise ValueError("cut pairs must be distinct")
-        for i, j in self.pairs:
-            if not 0 <= i < j:
-                raise ValueError(f"cut pair ({i},{j}) must satisfy 0 <= i < j")
-        if not (all(map(math.isfinite, self.coeffs)) and math.isfinite(self.rhs)):
-            raise ValueError("cut coeffs and rhs must be finite")
-        if not any(self.coeffs):
-            raise ValueError("cut coeffs must not all be zero")
+        CutList.from_arrays([self.pairs], [self.coeffs], [self.rhs])  # the family's checks
 
     def value(self, Y: np.ndarray) -> float:
         return float(sum(c * Y[i, j] for (i, j), c in zip(self.pairs, self.coeffs)))
@@ -169,7 +159,7 @@ class CutList(Sequence):
     million objects.
 
     ``from_arrays`` makes one block out of a whole family, validated once
-    with the checks ``Cut`` makes one cut at a time.  ``append`` adds a
+    by the checks ``Cut`` makes through it for one cut.  ``append`` adds a
     ``Cut`` as a one-row block, ``extend`` takes ``Cut`` objects or another
     CutList, whose blocks it shares.  Indexing and iteration yield ``Cut``
     objects, slicing and ``+`` give CutLists, and a CutList equals any list

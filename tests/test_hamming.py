@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kcut.errors import CapExceeded
-from kcut.graphs import cut_weight, laplacian
+import kcut.hamming
+from kcut.acceptance import checks
+from kcut.graphs import Graph, cut_weight, laplacian
 from kcut.hamming import (
     HammingHypothesisError,
     check_conjecture,
@@ -82,6 +84,14 @@ def test_hamming_lambda():
         assert hamming_lambda(d, q, d) == q * (q - 1) ** (d - 1)
     assert hamming_lambda(2, 3, 1) == 3
     assert hamming_lambda(3, 2, 2) == 4
+
+
+def test_hamming_lambda_closed_form():
+    # K_j(0) - K_j(1) = q (q-1)^(j-1) C(d-1, j-1), exactly
+    for d in range(1, 13):
+        for q in range(2, 7):
+            for j in range(1, d + 1):
+                assert hamming_lambda(d, q, j) == q * (q - 1) ** (j - 1) * comb(d - 1, j - 1)
 
 
 def test_hypothesis_predicate():
@@ -162,6 +172,12 @@ def test_tightness_certificate():
         hamming_tightness_certificate(4, 2, 3)  # odd j, q = 2
 
 
+def test_tightness_certificate_refuses_j_out_of_range():
+    for j in (0, 3):  # check_conjecture(2, 3) has rows for j = 1, 2 only
+        with pytest.raises(ValueError, match="1 <= j <= d"):
+            hamming_tightness_certificate(2, 3, j)
+
+
 def test_tightness_certificate_checks_solve_k_before_any_work(monkeypatch):
     # k = 7 > q is refused before a graph is built or k = 2 is solved
     import kcut.hamming
@@ -180,3 +196,26 @@ def test_tightness_certificate_with_sdp():
     rep = hamming_tightness_certificate(2, 3, 2, solve_k=(2, 3))
     for k, (solved, bound) in rep.sdp_checks.items():
         assert abs(solved - bound) <= 1e-5 * (1 + bound)
+
+
+def test_broken_graph_is_reported_not_tight(monkeypatch):
+    # H(2,3,2) less one edge: the certificate and the acceptance check
+    # report the cut below the bound instead of raising
+    real = kcut.hamming.hamming_graph
+
+    def broken(d, q, j):
+        g = real(d, q, j)
+        if (d, q, j) != (2, 3, 2):
+            return g
+        W = g.weights.copy()
+        assert W[0, 4] == 1.0  # (0,0) and (1,1) differ in both coordinates
+        W[0, 4] = W[4, 0] = 0.0
+        return Graph(n=g.n, weights=W, name=g.name)
+
+    monkeypatch.setattr(kcut.hamming, "hamming_graph", broken)
+    rep = hamming_tightness_certificate(2, 3, 2)
+    assert not rep.tight and rep.cut_value == 17 and rep.eigenvalue_bound_2q == 108
+    result = next(r for r in checks("hamming")
+                  if r.name == "qcut_equals_eigenvalue_bound_exactly")
+    assert not result.passed
+    assert result.detail == "H(2,3,2): cut below the eigenvalue bound"

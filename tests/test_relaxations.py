@@ -75,6 +75,17 @@ def test_separate_triangles():
     assert len(found) == 2
 
 
+def test_separate_triangles_refuses_negative_max_cuts(rng):
+    # a negative count was applied as a slice after each apex, keeping an
+    # arbitrary share of the violated cuts
+    A = rng.uniform(-1.0, 1.0, (8, 8))
+    Y = (A + A.T) / 2.0
+    assert len(separate_triangles(Y, max_cuts=0)) == 0
+    for max_cuts in (-1, -5):
+        with pytest.raises(ValueError, match="max_cuts"):
+            separate_triangles(Y, max_cuts=max_cuts)
+
+
 def _pair(i, j):
     return (i, j) if i < j else (j, i)
 
@@ -152,7 +163,7 @@ def test_independent_set_cuts():
     assert cut.rhs == -1.0 and all(c == -1.0 for c in cut.coeffs)
     assert len(cut.pairs) == 3
     with pytest.raises(CapExceeded):
-        independent_set_cuts(40, 3, cap=10_000)
+        independent_set_cuts(73, 3)  # C(73,4) = 1,088,430 cuts
 
 
 def test_cutting_plane_loop_pentagon():

@@ -10,6 +10,8 @@ def test_exact_spectra_of_generators_match_numeric():
         named_graph("complete_multipartite", (3, 2)),
         named_graph("cycle", (8,)),
         named_graph("cycle", (9,)),
+        named_graph("cycle", (1000,)),
+        named_graph("cycle", (1001,)),
         named_graph("hamming", (2, 3, 1)),
         named_graph("hamming", (3, 2, 2)),
     ]
