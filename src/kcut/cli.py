@@ -183,6 +183,8 @@ def _bound(args):
                 model.cuts.extend(independent_set_cuts(g.n, k))
         except CapExceeded as exc:
             raise CliError(str(exc), EXIT_CAP) from exc
+        except ValueError as exc:  # a family the graph is too small for
+            raise CliError(str(exc), EXIT_PARSE) from exc
         extra["num_cuts"] = len(model.cuts)
         sol = _solve_checked(model, opts)
     elif method == "chromatic":

@@ -227,7 +227,10 @@ def hyperplane_round(
 
     All trials are scored and weighed together: one product gives every
     trial's weight up to rounding, and ``cut_weight`` settles the trials
-    within rounding of the best, so ties fall as its sum has them.
+    within rounding of the best, so ties fall as its sum has them.  It
+    weighs each distinct partition among them once: ``cut_weight`` reads
+    only which vertices share a part, so trials that differ only in part
+    names, or not at all, weigh the same.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -239,7 +242,8 @@ def hyperplane_round(
         raise ValueError(f"Y must be {n}-by-{n} for this graph, got shape {Y.shape}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must be finite")
-    w, Q = _eigh((Y + Y.T) / 2.0)
+    with np.errstate(all="ignore"):  # ``_eigh`` reports a failure by NaN
+        w, Q = _eigh((Y + Y.T) / 2.0)
     w = np.clip(w, 0.0, None)
     V = (Q * np.sqrt(w)) @ Q.T  # columns V[:, v] give vertex vectors
     R = np.random.Generator(np.random.PCG64(seed)).standard_normal((trials, k, n))
@@ -253,12 +257,18 @@ def hyperplane_round(
     # W.sum() of the true weight: the trial cut_weight ranks first lies
     # within 4B of the best product weight
     slack = 4 * (n * n + n * k) * np.finfo(float).eps * W.sum()
-    near = np.flatnonzero(approx >= approx.max() - slack)
-    vals = [cut_weight(g, Partition(assignment=a, k=k)) for a in labels[near]]
+    near = labels[approx >= approx.max() - slack]
+    # parts renumbered in order of first appearance (vertex n for a part
+    # left empty); trials naming one partition weigh the same, so each
+    # distinct one is weighed once, the first trial to reach it standing
+    # for them all
+    hit = near[:, :, None] == np.arange(k)
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+    canon = np.take_along_axis(np.argsort(np.argsort(first, axis=1), axis=1), near, axis=1)
+    parts = list({a.tobytes(): a for a in canon}.values())
+    vals = [cut_weight(g, Partition(assignment=a, k=k)) for a in parts]
     best = int(np.argmax(vals))
-    # parts renumbered in order of first appearance
-    _, first, inv = np.unique(labels[near[best]], return_index=True, return_inverse=True)
-    return Partition(assignment=np.argsort(np.argsort(first))[inv], k=k), vals[best]
+    return Partition(assignment=parts[best], k=k), vals[best]
 
 
 @dataclass(frozen=True)

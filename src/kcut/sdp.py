@@ -78,9 +78,19 @@ than that of the point before it (or not finite).  Acceleration stops after
 triangles of X and U_el, E at the working cuts' entries and beta, so it is
 O(n^2 + #cuts), and every model is accelerated.  Depth 20 is the deepest
 history whose memory stays within 4 MiB at n = 81; on small models it
-certifies in about a quarter fewer iterations than depth 10.  The
-eigendecomposition of the projection (``_eigh``) retries on the reversed
-matrix should LAPACK fail to converge.
+certifies in about a quarter fewer iterations than depth 10.  The ridged
+Gram system lives in one persistent buffer, the ridge written onto its
+diagonal through a strided view.
+
+At n <= 16 an iteration is bound by the per-call overhead of its numpy
+calls, not by their flops, so the loop's two LAPACK calls skip
+numpy.linalg's wrappers: the projection's eigendecomposition (``_eigh``) and the Anderson
+coefficients (``_Anderson.coefficients``) call the gufuncs that
+``np.linalg.eigh`` and ``np.linalg.solve`` wrap, with the same values bit
+for bit, under one ``np.errstate`` per solve rather than one per call.  The
+gufuncs report a LAPACK failure by NaN outputs, not an exception: ``_eigh``
+then retries on the reversed matrix and raises ``LinAlgError`` on a second
+failure, and a NaN Anderson step is rejected like any non-finite one.
 
 One residual routine, ``_residuals``, reads a matrix in the model's own
 coordinates: the solver's stop test runs it on the very matrix ``solve``
@@ -119,6 +129,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, groupby
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 
 from .errors import CapExceeded
 
@@ -523,8 +534,11 @@ class _Anderson:
     def __init__(self, n: int):
         self.n = n
         m = _AA_DEPTH
-        self.gram, self.eye = np.zeros((m, m)), np.eye(m)
-        self.sq = [0.0] * m  # the Gram diagonal
+        # the ridged Gram system: the Gram matrix off the diagonal, and on
+        # it (a strided view) the Gram diagonal ``sq`` plus the ridge
+        self.gram = np.zeros((m, m))
+        self.ridged = self.gram.reshape(-1)[:: m + 1]
+        self.sq = [0.0] * m
         self.steps = self.rejected = 0
         self.fn_base = np.inf
 
@@ -567,6 +581,14 @@ class _Anderson:
         if self.tail is not None:
             xb[self.tail] = v[k:]
 
+    def coefficients(self, h: int, tr: float, rhs: np.ndarray) -> np.ndarray:
+        """The solution of the ridged Gram system (Gram + ridge tr I) gamma
+        = rhs over the first h slots, by LAPACK's ``gesv`` through the gufunc
+        ``np.linalg.solve`` wraps: the same values bit for bit.  A singular
+        system comes back NaN, which the caller's finiteness test rejects."""
+        np.add(self.sq[:h], _AA_RIDGE * tr, out=self.ridged[:h])
+        return _solve1(self.gram[:h, :h], rhs, signature="dd->d")
+
     def advance(self, xb: np.ndarray, yb: np.ndarray) -> bool:
         """Given the state xb and its plain step yb = T(xb), write the next
         iterate into xb and return True, or return False for xb <- yb."""
@@ -608,9 +630,7 @@ class _Anderson:
             self.clear()
             self.cur = t
             return False
-        A = self.gram[:h, :h] + (_AA_RIDGE * tr) * self.eye[:h, :h]
-        gamma = np.linalg.solve(A, self.dF[:h] @ self.f_prev)
-        cand = t - gamma @ self.dT[:h]
+        cand = t - self.coefficients(h, tr, self.dF[:h] @ self.f_prev) @ self.dT[:h]
         if not math.isfinite(np.dot(cand, cand)):
             self.rejected += 1
             self.clear()
@@ -625,16 +645,24 @@ class _Anderson:
 
 
 def _eigh(M: np.ndarray):
-    """``np.linalg.eigh(M)``; should LAPACK fail to converge, that of the
-    reversed matrix M[::-1, ::-1] with its eigenvector rows reversed back,
-    an exact permutation similarity.  Matrices near an association scheme's
-    algebra, with large clusters of equal eigenvalues, have made the first
-    call fail where the second succeeds; a second failure propagates."""
-    try:
-        return np.linalg.eigh(M)
-    except np.linalg.LinAlgError:
-        w, Q = np.linalg.eigh(M[::-1, ::-1])
-        return w, Q[::-1]
+    """The eigenvalues, ascending, and eigenvectors of the symmetric M, read
+    from its lower triangle: LAPACK's ``syevd`` through the gufunc that
+    ``np.linalg.eigh`` wraps, so the same values bit for bit, without the
+    wrapper's checks and error-state context.  The gufunc reports a failure
+    to converge by filling its outputs with NaN and raising the invalid
+    flag, so callers run it under ``np.errstate(all="ignore")``; the solver
+    enters one per solve.  On a failure, that of the reversed matrix M[::-1,
+    ::-1] with its eigenvector rows reversed back, an exact permutation
+    similarity: matrices near an association scheme's algebra, with large
+    clusters of equal eigenvalues, have made the first call fail where the
+    second succeeds.  A second failure raises ``np.linalg.LinAlgError``."""
+    w, Q = _eigh_lo(M, signature="d->dd")
+    if math.isnan(w[0]):
+        w, Q = _eigh_lo(M[::-1, ::-1], signature="d->dd")
+        if math.isnan(w[0]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        Q = Q[::-1]
+    return w, Q
 
 
 def _check_at(it: int) -> bool:
@@ -892,19 +920,23 @@ class _SolverState:
         reads the last plain step."""
         aa, status, it = self.aa, "max_iter", 0
         t0 = time.perf_counter()
-        for it in range(1, self.opts.max_iter + 1):
-            self.step()
-            verdict = self.check(it) if _check_at(it) else None
-            if verdict in ("optimal", "infeasible"):
-                status = verdict
-                break
-            if verdict == "grown" or (aa.rejected < _AA_MAX_REJECTED
-                                      and aa.advance(self.x[0], self.y[0])):
-                if self.wc.size:  # the state moved: C follows it
-                    wc, (_, _, _, E, beta) = self.wc, self.x
-                    np.add(np.multiply(wc.count, E, out=self.C), wc.scatter(beta), out=self.C)
-            else:
-                self.x, self.y = self.y, self.x
+        # one error-state context for the loop's LAPACK gufuncs (``_eigh``,
+        # the Anderson solve), which report a failure by NaN
+        with np.errstate(all="ignore"):
+            for it in range(1, self.opts.max_iter + 1):
+                self.step()
+                verdict = self.check(it) if _check_at(it) else None
+                if verdict in ("optimal", "infeasible"):
+                    status = verdict
+                    break
+                if verdict == "grown" or (aa.rejected < _AA_MAX_REJECTED
+                                          and aa.advance(self.x[0], self.y[0])):
+                    if self.wc.size:  # the state moved: C follows it
+                        wc, (_, _, _, E, beta) = self.wc, self.x
+                        np.add(np.multiply(wc.count, E, out=self.C), wc.scatter(beta),
+                               out=self.C)
+                else:
+                    self.x, self.y = self.y, self.x
         runtime = time.perf_counter() - t0
         if status != "optimal":
             self.resid = _residuals(self.model, self.last[1], self.cuts)[0]

@@ -245,6 +245,21 @@ def test_exit_code_srg_refusals(tmp_path, capsys, source, want):
     assert err.startswith("error:") and want in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("--family", "complete", "2", "--k", "2", "--method", "sdp+triangles"),
+     "error: triangle cuts need n >= 3"),
+    (("--family", "petersen", "--k", "10", "--method", "sdp+indep"),
+     "error: independent-set cuts need k + 1 <= n"),
+], ids=["K2-triangles", "petersen-indep-k10"])
+def test_exit_code_cut_family_too_large_for_graph(capsys, argv, want):
+    # --k admits k = n, and sdp+triangles any n >= 2, but the cut families
+    # need n >= 3 and k + 1 <= n
+    code, _, err = run_cli(capsys, "bound", *argv)
+    assert code == EXIT_PARSE
+    assert "Traceback" not in err
+    assert err.startswith(want) and len(err.splitlines()) == 1
+
+
 def test_exit_code_cap(capsys):
     code, _, err = run_cli(capsys, "exact", "--family", "kneser", "6", "2", "--k", "6")
     assert code == EXIT_CAP and "states" in err
@@ -262,6 +277,7 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     assert code == EXIT_SOLVER and "max_iter" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method, routine", [
     ("eig", "eigvalsh"), ("chromatic", "eigvalsh"),  # LinAlgError from lambda_max
     ("hoffman", "eigvalsh"),  # LinAlgError from hoffman_bound
@@ -270,10 +286,20 @@ def test_exit_code_solver_failure(tmp_path, capsys):
 def test_exit_code_eigensolver_failure(monkeypatch, capsys, method, routine):
     import numpy as np
 
+    import kcut.sdp
+
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, routine, fail)
+    def nan(M, **kwargs):
+        # LAPACK's eigh gufunc, which the solver calls directly, reports a
+        # failure by NaN outputs and the invalid flag
+        return np.zeros(len(M)) / 0.0, np.zeros(M.shape) / 0.0
+
+    if routine == "eigh":
+        monkeypatch.setattr(kcut.sdp, "_eigh_lo", nan)
+    else:
+        monkeypatch.setattr(np.linalg, routine, fail)
     code, _, err = run_cli(capsys, "bound", "--family", "petersen", "--k", "2",
                            "--method", method)
     assert code == EXIT_SOLVER

@@ -308,6 +308,28 @@ def test_batched_rounding_matches_trial_by_trial_reference(rng):
                     assert np.array_equal(part.assignment, ref_part.assignment)
 
 
+def test_rounding_weighs_each_tied_partition_once(monkeypatch):
+    # C_5 at k = 2: 58 of 100 trials tie at the maximum cut 4, which only
+    # five partitions reach (one edge left uncut); each is weighed once, and
+    # the result is the trial-by-trial reference's
+    g = named_graph("cycle", (5,))
+    sol = solve(build(g, 2, RelaxationKind.MAIN_SDP))
+    weighed = []
+
+    def counting(graph, part):
+        weighed.append(tuple(part.assignment.tolist()))
+        return cut_weight(graph, part)
+
+    monkeypatch.setattr(kcut.oracle, "cut_weight", counting)
+    for seed in range(4):
+        weighed.clear()
+        part, val = hyperplane_round(sol, g, 2, trials=100, seed=seed)
+        assert 0 < len(weighed) == len(set(weighed)) <= 5
+        ref_part, ref_val = _reference_round(sol, g, 2, _draws(seed, 100, 2, g.n))
+        assert val == ref_val == 4.0
+        assert np.array_equal(part.assignment, ref_part.assignment)
+
+
 def test_rounding_draws_every_trial_from_one_seeded_stream(monkeypatch, rng):
     # a call seeds one PCG64 and trial t reads block t of its normal draw,
     # so fewer trials read a prefix of the same draw

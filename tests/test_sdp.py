@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import kcut.sdp
 from conftest import random_graph
 from kcut.acceptance import _dominance_corpus, _random_graph
 from kcut.errors import CapExceeded
@@ -18,9 +19,12 @@ from kcut.sdp import (
     SdpModel,
     SdpSolution,
     SolverOptions,
+    _AA_RIDGE,
+    _Anderson,
     _Cuts,
     _SolverState,
     _check_at,
+    _eigh,
     certify,
     dump_model,
     solve,
@@ -480,30 +484,54 @@ def test_small_random_solve_certifies_within_400_iterations(kind):
     assert sol.status == "optimal" and sol.iterations <= 400
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_projection_survives_an_eigensolver_failure(monkeypatch):
     # LAPACK's eigh has failed to converge on a finite, exactly symmetric
     # matrix near Coxeter's distance algebra; the PSD projection and the
     # rounding's factorization then decompose the reversed matrix, an exact
-    # permutation similarity, and go on
+    # permutation similarity, and go on.  The failure is injected at the
+    # gufunc ``_eigh`` calls, which reports it as LAPACK's does: NaN outputs
+    # and the invalid flag raised, which must not surface as a warning
     g = named_graph("petersen")
     model = build(g, 3, RelaxationKind.MAIN_SDP)
     ref = solve(model)
     ref_cut = hyperplane_round(ref, g, 3, seed=5)[1]
-    eigh, calls = np.linalg.eigh, []
+    eigh_lo, calls = kcut.sdp._eigh_lo, []
 
-    def fails_once(M, at):
+    def fails_once(M, at, **kwargs):
         calls.append(None)
         if len(calls) == at:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(M)
+            return np.zeros(len(M)) / 0.0, np.zeros(M.shape) / 0.0
+        return eigh_lo(M, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: fails_once(M, at=10))
+    monkeypatch.setattr(kcut.sdp, "_eigh_lo", lambda M, **kw: fails_once(M, 10, **kw))
     sol = solve(model)
     assert len(calls) > 10 and sol.status == "optimal"
     assert abs(sol.objective_value - ref.objective_value) <= 1e-6
     calls.clear()
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: fails_once(M, at=1))
+    monkeypatch.setattr(kcut.sdp, "_eigh_lo", lambda M, **kw: fails_once(M, 1, **kw))
     assert hyperplane_round(ref, g, 3, seed=5)[1] == ref_cut and len(calls) == 2
+
+
+def test_raw_lapack_kernels_match_numpy_linalg(rng):
+    # the solver calls the LAPACK gufuncs behind np.linalg.eigh and
+    # np.linalg.solve directly; a numpy release that changed either kernel
+    # would change every iterate, so both are pinned here bit for bit
+    for n in range(1, 82):
+        M = rng.standard_normal((n, n))
+        for S in (M + M.T, np.round(M + M.T)):  # the second with repeated eigenvalues
+            w, Q = _eigh(S)
+            ref_w, ref_Q = np.linalg.eigh(S)
+            assert np.array_equal(w, ref_w) and np.array_equal(Q, ref_Q), n
+    aa = _Anderson(4)
+    for h in range(1, 21):
+        F = rng.standard_normal((h, 30))
+        gram = F @ F.T
+        aa.gram[:h, :h] = gram
+        aa.sq[:h] = np.diag(gram).tolist()
+        tr, rhs = sum(aa.sq[:h]), F @ rng.standard_normal(30)
+        ref = np.linalg.solve(gram + (_AA_RIDGE * tr) * np.eye(h), rhs)
+        assert np.array_equal(aa.coefficients(h, tr, rhs), ref), h
 
 
 def _traced_peak(fn):
