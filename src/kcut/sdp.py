@@ -47,12 +47,16 @@ where a is the over-relaxation, lam = max(viol, 0) / |coef|^2 and viol = A(X
 block duals sum to zero, U_psd + U_el + C = 0 with C = count * E +
 scatter(beta) the cut duals summed into a matrix, so the PSD block's dual is
 never stored: the step reads it as -(U_el + C).  C is zero without working
-cuts; with them it is carried through the plain step, which scatters only
-the violated cuts' lam, and recomputed from E and beta only when
-acceleration or a new working set moves the state.  The step writes into
-scratch matrices allocated once per solve, and touches the shift s only
-when s != 0.  Per-entry duals are formed only at the checks, for the
-residuals and the Farkas margin.
+cuts; with them it is carried through the plain step, which scatters lam,
+and recomputed from E and beta only when acceleration or a new working set
+moves the state.  A sums a group of cuts of one arity row by row, one term
+of every cut per row, over row-major arrays in the full and the working
+operator alike, so a cut reads the same value in both; the scatter reads
+every cut, since a zero weight (lam at a cut not violated) adds an exact
+zero, and a filter on the weights cost more than it saved.  The step writes
+into scratch matrices allocated once per solve, and touches the shift s
+only when s != 0.  Per-entry duals are formed only at the checks, for the
+ADMM residuals and the Farkas margin.
 
 The loop carries only a working set of the cuts, after BiqMac (Rendl,
 Rinaldi & Wiegele 2010): the cuts the start point violates, then, at the
@@ -112,10 +116,17 @@ fail, the same dual assembly runs on the step of the multipliers with a
 zero objective: on an infeasible model ADMM's dual iterates diverge along a
 Farkas ray (Banjac, Goulart, Stellato & Boyd 2019), and a negative value
 proves that no feasible point exists.  Only that proof reports
-``infeasible``.  Every later stop-only check runs the stop test alone: no
-Farkas test, no growth of the working set, no write to the solver's state.
-So a solve takes exactly the iterates it takes with the first check and the
-full checks alone, and can only stop sooner.
+``infeasible``.  Its eigensolve runs only when the value without the
+eigenvalue shift, a lower bound on the shifted one, is below the proof's
+threshold: the verdict is the same.  Every later stop-only check runs the
+stop test alone: no Farkas test, no growth of the working set, no write to
+the solver's state.  So a solve takes exactly the iterates it takes with
+the first check and the full checks alone, and can only stop sooner.
+
+The ADMM primal and dual residuals that the solution reports, whose cut
+term reads every working cut, are computed only at the checks whose figures
+are reported: the one that ends the solve, and the last one within
+``max_iter``.  No other check reads them.
 """
 
 from __future__ import annotations
@@ -393,14 +404,27 @@ class SdpSolution:
                    status=status, residuals={})
 
 
+def _sum_rows(T: np.ndarray, out: np.ndarray):
+    """out = T[0] + T[1] + ..., added first row to last, so that each column
+    sums its terms in order whatever T's memory layout: numpy's axis-0
+    reduction takes its order from the layout, and sums a column-major
+    column of 8 or more terms pairwise."""
+    out[...] = T[0]
+    for row in T[1:]:
+        out += row
+
+
 class _Cuts:
     """The model's cuts as one linear operator A, A(M)_c = sum_p coef_p
     M[i_p, j_p] over cut c's upper-triangle pairs, the cuts numbered as in
     the CutList.
 
     A group is a run of consecutive cuts of one arity a, holding its flat
-    positions i*n + j and its coefficients as (a, m) arrays, column c for
-    one cut, so that applying a group reads one contiguous row per term.
+    positions i*n + j and its coefficients as C-ordered (a, m) arrays,
+    column c for one cut, so that applying a group reads one contiguous row
+    per term: ``apply`` and ``normsq`` sum the rows one by one into the
+    group's slice, first to last.  ``scatter`` reads every cut, with no
+    filter on its weights, since a zero weight adds an exact zero to a bin.
     ``count`` holds the number of cut entries at each matrix entry, on both
     (i, j) and (j, i).  ``_Cuts.of(n, cuts)`` builds the operator of a
     CutList, each run of its blocks of one arity concatenated into a group,
@@ -416,8 +440,9 @@ class _Cuts:
             m = IDX.shape[1]
             self.groups.append((slice(start, start + m), IDX, COEF))
             start += m
-        self.normsq = np.concatenate([np.zeros(0)] + [(COEF * COEF).sum(axis=0)
-                                                      for _, _, COEF in self.groups])
+        self.normsq = np.empty(self.size)
+        for sl, _, COEF in self.groups:
+            _sum_rows(COEF * COEF, self.normsq[sl])
         T = np.bincount(np.concatenate([np.zeros(0, np.int64)]
                                        + [IDX.ravel() for _, IDX, _ in self.groups]),
                         minlength=n * n).reshape(n, n)
@@ -442,30 +467,28 @@ class _Cuts:
             lo, hi = np.searchsorted(sel, (sl.start, sl.stop))
             if lo < hi:
                 cols = sel[lo:hi] - sl.start
-                groups.append((IDX[:, cols], COEF[:, cols]))
+                groups.append((IDX.take(cols, axis=1), COEF.take(cols, axis=1)))
         return _Cuts(self.n, groups, self.rhs[sel])
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """A(M): every cut's value at M, read from M's upper triangle.  Each
-        cut is summed term by term, so its value does not depend on which
-        other cuts share its group."""
+        cut is summed term by term, row by row into its group's slice, so
+        its value does not depend on which other cuts share its group."""
         flat, out = M.reshape(-1), np.empty(self.size)
         for sl, IDX, COEF in self.groups:
-            out[sl] = (COEF * flat[IDX]).sum(axis=0)
+            T = flat.take(IDX)
+            T *= COEF
+            _sum_rows(T, out[sl])
         return out
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
         """sum_c v_c coef_c as a symmetric n-by-n matrix, each coefficient
-        landing on both (i, j) and (j, i); only the cuts with v_c != 0 are
-        read."""
+        landing on both (i, j) and (j, i).  Every cut is read: a zero v_c
+        adds an exact zero to its bins."""
         n = self.n
         T = np.zeros(n * n)
         for sl, IDX, COEF in self.groups:
-            vg = v[sl]
-            nz = np.flatnonzero(vg != 0)
-            if nz.size:
-                T += np.bincount(IDX.take(nz, axis=1).ravel(),
-                                 (COEF.take(nz, axis=1) * vg[nz]).ravel(), n * n)
+            T += np.bincount(IDX.ravel(), (COEF * v[sl]).ravel(), n * n)
         T = T.reshape(n, n)
         return T + T.T
 
@@ -714,7 +737,10 @@ class _SolverState:
         self.g_rho = self.G / self.rho
         # C, the working cuts' duals summed, and the step's work matrices
         self.C, self.D, self.zn_psd, self.zn_el, self.T = (np.zeros((n, n)) for _ in range(5))
-        self.primal = self.dual = np.inf  # the ADMM residuals of the last check
+        # the ADMM residuals, of the check that ends the solve or of the
+        # last one within max_iter, the only checks that compute them
+        self.primal = self.dual = np.inf
+        self.last_check = next(it for it in range(opts.max_iter, 0, -1) if _check_at(it))
         self.aa = _Anderson(n)
         self.working = np.zeros(self.cuts.size, bool)
         X0 = np.full((n, n), self.shift)
@@ -804,25 +830,20 @@ class _SolverState:
         """The check ending iteration ``it``, on y: ``optimal`` when the
         certified test passes, ``infeasible`` when the Farkas test does
         (full checks), ``grown`` when the first or a full check grew the
-        working set, else None."""
+        working set, else None.  The ADMM residuals, which only the solution
+        reports, are computed at the checks whose figures it reports: one
+        that ends the solve, and the last one within ``max_iter``."""
         opts, wc, rho = self.opts, self.wc, self.rho
         _, X, U_el, E, beta = self.x
         _, Xn, U_eln, En, betan = self.y
-        r2 = np.sum((self.zn_psd - Xn) ** 2) + np.sum((self.zn_el - Xn) ** 2)
-        if wc.size:
-            # cut c's projected point is (X - E)[pairs_c] - (beta_c + lam_c)
-            # coef_c; an off-diagonal cut entry stands for two matrix
-            # entries, so it counts twice in the Frobenius norm
-            r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + self.lam)) ** 2)
-        self.primal = float(np.sqrt(r2))
-        self.dual = float(rho * np.linalg.norm(Xn - X))
         resid, cut_viol = _residuals(self.model, Xn, self.cuts, opts.tol_eq)
         self.resid = resid
+        verdict = new = None
         if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
                 <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
             self.obj, self.bound = self.readout(self.y)
             if self.bound - self.obj <= opts.tol_gap * (1 + abs(self.obj)):
-                return "optimal"
+                verdict = "optimal"
         elif it == 1 or it % _CHECK_EVERY == 0:
             # only the first check and the full ones act on failed
             # residuals, so a later stop-only check leaves the iterates as
@@ -834,14 +855,24 @@ class _SolverState:
             if it % _CHECK_EVERY == 0:
                 d_el, d_E, d_beta = rho * (U_eln - U_el), rho * (En - E), rho * (betan - beta)
                 step = np.concatenate([d_el.reshape(-1), wc.entries(d_E, d_beta)])
-                farkas = self.dual_bound(d_el, d_E, d_beta, 0.0)
-                if farkas < -opts.tol_gap * float(np.linalg.norm(step)):
-                    return "infeasible"
-            new = (cut_viol > opts.tol_eq) & ~self.working
-            if new.any():
-                self.grow(new, Xn, U_eln, En, betan)
-                return "grown"
-        return None
+                margin = -opts.tol_gap * float(np.linalg.norm(step))
+                if self.dual_bound(d_el, d_E, d_beta, 0.0, margin) < margin:
+                    verdict = "infeasible"
+            if verdict is None:
+                new = (cut_viol > opts.tol_eq) & ~self.working
+        if verdict is not None or it == self.last_check:
+            r2 = np.sum((self.zn_psd - Xn) ** 2) + np.sum((self.zn_el - Xn) ** 2)
+            if wc.size:
+                # cut c's projected point is (X - E)[pairs_c] - (beta_c +
+                # lam_c) coef_c; an off-diagonal cut entry stands for two
+                # matrix entries, so it counts twice in the Frobenius norm
+                r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + self.lam)) ** 2)
+            self.primal = float(np.sqrt(r2))
+            self.dual = float(rho * np.linalg.norm(Xn - X))
+        if new is not None and new.any():
+            self.grow(new, Xn, U_eln, En, betan)
+            return "grown"
+        return verdict
 
     def readout(self, state) -> tuple[float, float]:
         """The objective at the state's X and the dual bound of its
@@ -850,7 +881,7 @@ class _SolverState:
         rho, G = self.rho, self.G
         return float(np.vdot(G, X)), self.dual_bound(rho * U_el - G, rho * E, rho * beta, G)
 
-    def dual_bound(self, Y_el: np.ndarray, Y_E, Y_beta, G) -> float:
+    def dual_bound(self, Y_el: np.ndarray, Y_E, Y_beta, G, clear: float | None = None) -> float:
         """Assemble a dual feasible point from the block multipliers.
 
         For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
@@ -874,6 +905,11 @@ class _SolverState:
         optimum is the same.  With ``G`` = 0 and the multipliers' step for
         ``Y_el``, ``Y_E`` and ``Y_beta``, a negative value is a Farkas
         certificate: no feasible Y exists.
+
+        With ``clear`` given, the value at t = 0 is returned, without an
+        eigensolve, when it is at least ``clear``: t >= 0 and sum(d) - n s
+        >= 0 make it a lower bound on the value, in floats too, so a test
+        ``value < clear`` reads the same verdict from either.
         """
         n, cuts = self.n, self.wc
         # ``scale`` sums the magnitudes of the bound's terms, for its rounding
@@ -908,16 +944,24 @@ class _SolverState:
             S += 0.5 * cuts.scatter(mu)
 
         eps, s = float(np.finfo(float).eps), self.shift
-        t = max(0.0, n * eps * float(np.linalg.norm(S)) - float(np.linalg.eigvalsh(S)[0]))
-        value += t * (dsum - n * s) - s * float(S.sum())
-        scale += abs(t * (dsum - n * s)) + s * float(np.abs(S).sum())
-        # each sum rounds by at most its length times eps times its terms'
-        # magnitudes: pad by that, so the float bound stays above the exact one
-        return value + (n * n + cuts.size) * eps * scale
+        spread, s_sum, s_abs = dsum - n * s, s * float(S.sum()), s * float(np.abs(S).sum())
+
+        def total(t: float) -> float:
+            # each sum rounds by at most its length times eps times its
+            # terms' magnitudes: pad by that, so the float bound stays above
+            # the exact one
+            return (value + (t * spread - s_sum)
+                    + (n * n + cuts.size) * eps * (scale + (abs(t * spread) + s_abs)))
+
+        if clear is not None and spread >= 0 and (low := total(0.0)) >= clear:
+            return low
+        return total(max(0.0, n * eps * float(np.linalg.norm(S))
+                         - float(np.linalg.eigvalsh(S)[0])))
 
     def run(self) -> SdpSolution:
         """Step and check until a verdict or ``max_iter``; the solution
-        reads the last plain step."""
+        reads the last plain step, and its ADMM residuals are those of the
+        last check, which computes them (``check``)."""
         aa, status, it = self.aa, "max_iter", 0
         t0 = time.perf_counter()
         # one error-state context for the loop's LAPACK gufuncs (``_eigh``,

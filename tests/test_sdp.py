@@ -622,6 +622,112 @@ def test_working_operator_slices_the_full_one():
     assert part.count.sum() == 2 * (6 + 6 + 1)
 
 
+def _random_cuts(n, arity, m, rng):
+    # m cuts of one arity on distinct random upper-triangle pairs, with
+    # coefficients of mixed sign spanning twelve orders of magnitude
+    iu = np.transpose(np.triu_indices(n, 1))
+    P = np.array([iu[rng.choice(len(iu), arity, replace=False)] for _ in range(m)])
+    C = rng.standard_normal((m, arity)) * 10.0 ** rng.integers(-6, 6, (m, arity))
+    return CutList.from_arrays(P, C, rng.standard_normal(m))
+
+
+def _reference_apply(op, M):
+    # the axis-0 sum the operator replaced
+    flat = M.reshape(-1)
+    return np.concatenate([np.zeros(0)] + [(COEF * flat[IDX]).sum(axis=0)
+                                           for _, IDX, COEF in op.groups])
+
+
+def _reference_scatter(op, v):
+    # the bincount over the nonzero weights only, which the operator replaced
+    n, T = op.n, np.zeros(op.n * op.n)
+    for sl, IDX, COEF in op.groups:
+        vg = v[sl]
+        nz = np.flatnonzero(vg != 0)
+        if nz.size:
+            T += np.bincount(IDX.take(nz, axis=1).ravel(),
+                             (COEF.take(nz, axis=1) * vg[nz]).ravel(), n * n)
+    T = T.reshape(n, n)
+    return T + T.T
+
+
+def test_cut_kernels_match_the_reference_formulas(rng):
+    # apply and normsq sum row by row, scatter reads every cut: the same
+    # bytes as the axis-0 sums and the nonzero-filtered bincount, on one
+    # group of each arity (one-row blocks at arity 1), on every arity in one
+    # operator and on the empty one, with weights that are half zeros
+    n = 9
+    ops = [_Cuts.of(n, CutList())]
+    families = [_random_cuts(n, a, 40, rng) for a in (1, 3, 6, 10, 15)]
+    ops += [_Cuts.of(n, cuts) for cuts in families]
+    ops.append(_Cuts.of(n, CutList(list(families[0][:7]))))  # seven one-row blocks
+    ops.append(_Cuts.of(n, sum(families[1:], families[0])))
+    assert [len(op.groups) for op in ops] == [0, 1, 1, 1, 1, 1, 1, 5]
+    for op in ops:
+        ref_normsq = np.concatenate([np.zeros(0)] + [(COEF * COEF).sum(axis=0)
+                                                     for _, _, COEF in op.groups])
+        assert op.normsq.tobytes() == ref_normsq.tobytes()
+        for _ in range(5):
+            M = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 6, (n, n))
+            M = M + M.T
+            assert op.apply(M).tobytes() == _reference_apply(op, M).tobytes()
+            v = rng.standard_normal(op.size) * 10.0 ** rng.integers(-6, 6, op.size)
+            v[rng.permutation(op.size)[: op.size // 2]] = 0.0
+            v[::7] *= -0.0  # zeros of both signs
+            assert op.scatter(v).tobytes() == _reference_scatter(op, v).tobytes()
+            if op.size:
+                # a working operator: each cut reads the bytes it reads in
+                # the full one, whatever its group's layout or arity
+                sel = np.flatnonzero(rng.random(op.size) < 0.5)
+                part = op.take(sel)
+                assert part.apply(M).tobytes() == op.apply(M)[sel].tobytes()
+                assert part.normsq.tobytes() == op.normsq[sel].tobytes()
+                ref = _reference_scatter(part, v[sel])
+                assert part.scatter(v[sel]).tobytes() == ref.tobytes()
+
+
+def test_farkas_short_cut_reads_the_full_verdict(rng):
+    # the Farkas test skips the eigensolve when the bound without the
+    # eigenvalue shift already clears its threshold; that bound is a lower
+    # bound on the shifted one, so the verdict is the full bound's
+    g = named_graph("cycle", (5,))
+    cut = Cut(pairs=((0, 2),), coeffs=(1.0,), rhs=0.1)
+    shortcuts = full_reads = 0
+    for kind in RelaxationKind:
+        for k in (2, 3):
+            model = build(g, k, kind)
+            model.cuts.extend(triangle_cuts(5) + [cut])
+            state = _SolverState(model, SolverOptions())
+            state.grow(np.ones(state.cuts.size, bool), np.eye(5), 0.0, 0.0, 0.0)
+            for scale in (1e-8, 1e-3, 1.0, 1e3):
+                d_el = rng.standard_normal((5, 5)) * scale
+                d_E = rng.standard_normal((5, 5)) * scale
+                d_el, d_E = d_el + d_el.T, d_E + d_E.T
+                d_beta = rng.standard_normal(state.wc.size) * scale
+                full = state.dual_bound(d_el, d_E, d_beta, 0.0)
+                for clear in (full - abs(full), full - 1e-12 * abs(full), full,
+                              full + 1e-12 * abs(full), -scale, 0.0, scale):
+                    value = state.dual_bound(d_el, d_E, d_beta, 0.0, clear)
+                    assert (value < clear) == (full < clear), (kind, k, scale, clear)
+                    assert value == full or clear <= value < full
+                    shortcuts += value < full
+                    full_reads += value == full
+    assert shortcuts and full_reads
+
+
+def test_capped_solve_reports_the_residuals_of_its_last_check():
+    # the ADMM residuals are computed only at the checks whose figures the
+    # solution reports; capped between checks, a solve reports those of its
+    # last check, iteration 9 under both caps
+    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    nine, ten = (solve(model, SolverOptions(max_iter=m)) for m in (9, 10))
+    assert nine.status == ten.status == "max_iter"
+    assert (nine.iterations, ten.iterations) == (9, 10)
+    for name in ("primal", "dual"):
+        assert math.isfinite(nine.residuals[name])
+        assert nine.residuals[name] == ten.residuals[name], name
+
+
 def test_edgeless_dual_bounds_are_nonnegative():
     # every relaxation of an edgeless graph has optimum 0; the dual bound's
     # eigenvalue shift must cover its own rounding (bounds as low as -3.9e-34
