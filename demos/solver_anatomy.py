@@ -23,8 +23,8 @@ from kcut import (
 )
 
 if __name__ == "__main__":
-    g = named_graph("petersen")
-    model = build(g, 3, RelaxationKind.MAIN_SDP)
+    g = named_graph("coxeter")
+    model = build(g, 2, RelaxationKind.MAIN_SDP)
 
     print("the model as its text dump (cross-checkable by other solvers):")
     print("\n".join(dump_model(model).splitlines()[:6] + ["  ... objective rows ..."]))
@@ -41,5 +41,8 @@ if __name__ == "__main__":
 
     violated = separate_triangles(sol.Y, max_cuts=5, violation_tol=1e-6)
     print(f"\nmost violated triangle inequalities at the optimum: {len(violated)}")
-    for cut in violated:
-        print("  pairs", cut.pairs, "violation", f"{cut.value(sol.Y) - cut.rhs:.4f}")
+    for P, C, b in violated.blocks():
+        # cut c reads sum_p C[c, p] Y[P[c, p]] <= b[c]
+        excess = (C * sol.Y[P[..., 0], P[..., 1]]).sum(axis=1) - b
+        for pairs, v in zip(P.tolist(), excess):
+            print("  pairs", pairs, "violation", f"{v:.4f}")

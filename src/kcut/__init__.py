@@ -52,7 +52,6 @@ from .relaxations import (
 )
 from .sdp import (
     CertificationReport,
-    Cut,
     CutList,
     SdpModel,
     SdpSolution,

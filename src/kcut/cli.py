@@ -38,8 +38,9 @@ def _load_solver_options(path):
     if path is None:
         return SolverOptions()
     try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_PARSE) from exc
     defaults = vars(SolverOptions())
     values = {}

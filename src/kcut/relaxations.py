@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from itertools import chain, combinations
 
 import numpy as np
@@ -123,9 +124,15 @@ def separate_triangles(Y: np.ndarray, max_cuts: int = 2000,
     (descending), ties broken lexicographically by (apex, j, k), in one block.
 
     One apex at a time, keeping the best ``max_cuts`` so far: O(n^2 +
-    max_cuts) memory.  A negative ``max_cuts`` raises ValueError."""
-    if max_cuts < 0:
-        raise ValueError(f"max_cuts must be >= 0, got {max_cuts}")
+    max_cuts) memory.  A Y that is not a finite square matrix, or a
+    ``max_cuts`` that is not an integer >= 0, raises ValueError."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
+        raise ValueError(f"Y must be a square matrix, got shape {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must be finite")
+    if not isinstance(max_cuts, numbers.Integral) or max_cuts < 0:
+        raise ValueError(f"max_cuts must be an integer >= 0, got {max_cuts!r}")
     n = Y.shape[0]
     jj, kk = np.triu_indices(n, 1)
     y_jk = Y[jj, kk]

@@ -4,11 +4,11 @@ The model class is deliberately narrow: maximize a scaled trace objective
 subject to a diagonal or trace equality, a PSD or shifted-PSD cone
 constraint, an optional elementwise lower bound, and optional sparse linear
 cuts.  That covers every relaxation in this package while keeping the solver
-self-contained.  The cuts are a ``CutList`` of array blocks, from
-generation to the solver: a generated family is one block, validated once,
-a cut added one at a time a one-row block.  The solver's cut operator
-(``_Cuts``) numbers the cuts as the CutList does, each run of blocks of one
-arity concatenated into one group.
+self-contained.  The cuts are a ``CutList`` of array blocks from
+generation to the solver, with no per-cut object: a generated family is one
+block, validated once, and a single cut a one-row block.  The solver's cut
+operator (``_Cuts``) numbers the cuts as the CutList does, each run of
+blocks of one arity concatenated into one group.
 
 Algorithm: operator splitting in consensus form, in the model's own
 coordinates.  Both cones are Y - s J >= 0, with the scalar shift s = 1/k for
@@ -135,7 +135,6 @@ import io
 import math
 import numbers
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
 
@@ -145,7 +144,6 @@ from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo, solve1 as _solve1
 from .errors import CapExceeded
 
 __all__ = [
-    "Cut",
     "CutList",
     "SdpModel",
     "SolverOptions",
@@ -157,47 +155,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Sparse linear inequality sum_p coeffs[p] * Y[i_p, j_p] <= rhs over
-    distinct upper-triangle pairs (i < j), with finite coefficients, not all
-    zero, and a finite rhs."""
+class CutList:
+    """Cuts kept as read-only blocks of arrays, ``pairs`` (m, a, 2),
+    ``coeffs`` (m, a) and ``rhs`` (m,) for m cuts of one arity a: a family
+    of a million cuts is a few arrays, not a million objects.
 
-    pairs: tuple[tuple[int, int], ...]
-    coeffs: tuple[float, ...]
-    rhs: float
-
-    def __post_init__(self):
-        CutList.from_arrays([self.pairs], [self.coeffs], [self.rhs])  # the family's checks
-
-    def value(self, Y: np.ndarray) -> float:
-        return float(sum(c * Y[i, j] for (i, j), c in zip(self.pairs, self.coeffs)))
-
-
-class CutList(Sequence):
-    """A sequence of cuts kept as read-only blocks of arrays, ``pairs`` (m,
-    a, 2), ``coeffs`` (m, a) and ``rhs`` (m,) for m cuts of one arity a, so
-    that a generated family of a million cuts is a few arrays rather than a
-    million objects.
-
-    ``from_arrays`` makes one block out of a whole family, validated once
-    by the checks ``Cut`` makes through it for one cut.  ``append`` adds a
-    ``Cut`` as a one-row block, ``extend`` takes ``Cut`` objects or another
-    CutList, whose blocks it shares.  Indexing and iteration yield ``Cut``
-    objects, slicing and ``+`` give CutLists, and a CutList equals any list
-    or CutList holding the same cuts in the same order.  ``blocks`` yields
-    the (pairs, coeffs, rhs) arrays, block by block, in order.
+    ``from_arrays`` makes one block, validated once; ``extend`` appends
+    another CutList's blocks, shared; ``+`` and slicing by a range give new
+    CutLists; ``blocks`` yields the arrays in order.  There is no per-cut
+    access: an integer index, a stepped slice, iteration and a list in place
+    of a CutList raise.  CutLists compare by identity.
     """
 
-    def __init__(self, cuts=()):
+    def __init__(self):
         self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._len = 0
-        self.extend(cuts)
 
     @classmethod
     def from_arrays(cls, pairs, coeffs, rhs) -> CutList:
-        """The m cuts sum_p coeffs[c, p] Y[pairs[c, p]] <= rhs[c], from
-        ``pairs`` (m, a, 2), ``coeffs`` (m, a) and ``rhs`` (m,)."""
+        """The m cuts sum_p coeffs[c, p] Y[pairs[c, p]] <= rhs[c] over
+        distinct pairs i < j, from ``pairs`` (m, a, 2), ``coeffs`` (m, a) and
+        ``rhs`` (m,), all finite and no cut's coeffs all zero."""
         P = np.asarray(pairs, dtype=np.int64)
         C = np.asarray(coeffs, dtype=float)
         b = np.asarray(rhs, dtype=float)
@@ -230,19 +208,12 @@ class CutList(Sequence):
             self._blocks.append(block)
             self._len += b.size
 
-    def append(self, cut: Cut):
-        if not isinstance(cut, Cut):
-            raise TypeError(f"expected a Cut, got {type(cut).__name__}")
-        self._add(np.array([cut.pairs], np.int64), np.array([cut.coeffs], float),
-                  np.array([cut.rhs], float))
-
-    def extend(self, cuts):
-        if isinstance(cuts, CutList):
-            for block in list(cuts._blocks):  # ``cuts`` may be self
-                self._add(*block)
-        else:
-            for cut in cuts:
-                self.append(cut)
+    def extend(self, cuts: CutList):
+        if not isinstance(cuts, CutList):
+            raise TypeError(f"expected a CutList, got {type(cuts).__name__}; "
+                            "make cuts with CutList.from_arrays")
+        for block in list(cuts._blocks):  # ``cuts`` may be self
+            self._add(*block)
 
     def blocks(self):
         """(pairs, coeffs, rhs) arrays per block, in order, each of one
@@ -252,42 +223,26 @@ class CutList(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __iter__(self):
-        for P, C, b in self._blocks:
-            for pairs, coeffs, rhs in zip(P.tolist(), C.tolist(), b.tolist()):
-                yield Cut(pairs=tuple(map(tuple, pairs)), coeffs=tuple(coeffs), rhs=rhs)
+    def __getitem__(self, index: slice) -> CutList:
+        if not isinstance(index, slice):
+            raise TypeError(f"CutList takes a slice, not {type(index).__name__}; "
+                            "read single cuts through blocks()")
+        start, stop, step = index.indices(self._len)
+        if step != 1:
+            raise ValueError(f"CutList slices take no step, got {index.step}")
+        out, lo = CutList(), 0
+        for block in self._blocks:
+            hi = lo + block[2].size
+            rows = slice(max(start - lo, 0), max(min(stop, hi) - lo, 0))
+            out._add(*(a[rows] for a in block))
+            lo = hi
+        return out
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._len)
-            if step != 1:
-                return CutList([self[i] for i in range(start, stop, step)])
-            out, lo = CutList(), 0
-            for block in self._blocks:
-                hi = lo + block[2].size
-                rows = slice(max(start - lo, 0), max(min(stop, hi) - lo, 0))
-                out._add(*(a[rows] for a in block))
-                lo = hi
-            return out
-        i = range(self._len)[index]  # IndexError out of range, negatives wrap
-        return next(iter(self[i:i + 1]))
-
-    def __add__(self, other) -> CutList:
-        out = CutList(self)
+    def __add__(self, other: CutList) -> CutList:
+        out = CutList()
+        out.extend(self)
         out.extend(other)
         return out
-
-    def __radd__(self, other) -> CutList:
-        out = CutList(other)
-        out.extend(self)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, CutList)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"CutList({self._len} cuts in {len(self._blocks)} blocks)"
@@ -301,10 +256,10 @@ class SdpModel:
     is either ``psd`` (Y >= 0 in the Loewner order) or ``shifted_psd``
     (cone_k * Y - J >= 0 with integer cone_k >= 2).  ``elementwise_lower``
     bounds every off-diagonal entry from below (the diagonal is pinned by the
-    equality constraints).  ``cuts`` is a CutList; a list of ``Cut`` objects
-    given here is made into one.  ``n`` must be an integer >= 1, and every
-    number given must be finite: a value that breaks either raises
-    ValueError naming its field.
+    equality constraints).  ``cuts`` must be a CutList (TypeError
+    otherwise).  ``n`` must be an integer >= 1, and every number given must
+    be finite: a value that breaks either raises ValueError naming its
+    field.
     """
 
     n: int
@@ -348,7 +303,7 @@ class SdpModel:
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         if not isinstance(self.cuts, CutList):
-            self.cuts = CutList(self.cuts)
+            raise TypeError(f"cuts must be a CutList, got {type(self.cuts).__name__}")
         for P, _, _ in self.cuts.blocks():
             if P[..., 1].max() >= self.n:
                 raise ValueError(f"cut pair index {P[..., 1].max()} out of range for n={self.n}")
@@ -429,8 +384,8 @@ class _Cuts:
     (i, j) and (j, i).  ``_Cuts.of(n, cuts)`` builds the operator of a
     CutList, each run of its blocks of one arity concatenated into a group,
     and ``take`` that of some of its cuts.  ``of`` checks every pair index
-    against n, since cuts appended to ``model.cuts`` after construction skip
-    the model's own check.
+    against n, since cuts extended into ``model.cuts`` after construction
+    skip the model's own check.
     """
 
     def __init__(self, n: int, groups, rhs: np.ndarray):

@@ -314,6 +314,12 @@ def test_config_parsing_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
                                "--method", "sdp", "--config", str(cfg))
         assert code == EXIT_PARSE and "unknown solver option" in err
+    # not UTF-8: a decode error, like an unreadable file, is one error line
+    cfg.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
+                           "--method", "sdp", "--config", str(cfg))
+    assert code == EXIT_PARSE and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec can't decode")
 
 
 def test_conjecture_command(tmp_path, capsys):

@@ -18,7 +18,7 @@ from kcut.relaxations import (
     separate_triangles,
     triangle_cuts,
 )
-from kcut.sdp import Cut, SolverOptions, certify, solve
+from kcut.sdp import SolverOptions, certify, solve
 from kcut.spectra import lambda_max
 
 
@@ -50,22 +50,22 @@ def test_triangle_cut_counts():
     assert len(triangle_cuts(3)) == 3
     assert len(triangle_cuts(5)) == 30
     assert len(triangle_cuts(28)) == 9828
-    cut = triangle_cuts(3)[0]
-    assert cut.rhs == 1.0 and cut.coeffs == (1.0, 1.0, -1.0)
+    _, C, b = next(triangle_cuts(3).blocks())
+    assert b[0] == 1.0 and np.array_equal(C[0], [1.0, 1.0, -1.0])
     # 3 C(127,3) = 1,000,125 cuts exceed the cap shared with independent sets
     with pytest.raises(CapExceeded):
         triangle_cuts(127)
 
 
 def test_separate_triangles():
-    assert separate_triangles(np.ones((4, 4))) == []
-    assert separate_triangles(np.eye(4)) == []
+    assert len(separate_triangles(np.ones((4, 4)))) == 0
+    assert len(separate_triangles(np.eye(4))) == 0
     Y = np.eye(3)
     Y[0, 1] = Y[1, 0] = 1.0
     Y[0, 2] = Y[2, 0] = 1.0  # y_01 = y_02 = 1, y_12 = 0: apex 0 violated by 1
     cuts = separate_triangles(Y, max_cuts=10, violation_tol=1e-6)
     assert len(cuts) == 1
-    assert cuts[0].pairs == ((0, 1), (0, 2), (1, 2))
+    assert np.array_equal(next(cuts.blocks())[0], [[[0, 1], [0, 2], [1, 2]]])
 
     # respects max_cuts and sorts by violation
     Y = np.ones((5, 5)) * 0.9
@@ -86,13 +86,37 @@ def test_separate_triangles_refuses_negative_max_cuts(rng):
             separate_triangles(Y, max_cuts=max_cuts)
 
 
+@pytest.mark.parametrize("Y, max_cuts, match", [
+    (np.full((5, 5), np.nan), 2000, "^Y must be finite"),
+    (np.eye(5) + np.diag([np.inf, 0, 0, 0, 0]), 2000, "^Y must be finite"),
+    (np.ones((4, 5)), 2000, "^Y must be a square matrix"),
+    (np.ones(4), 2000, "^Y must be a square matrix"),
+    (np.eye(4), 2.5, "^max_cuts must be an integer"),
+    (np.eye(4), "10", "^max_cuts must be an integer"),
+], ids=["nan", "inf", "not_square", "vector", "fractional_max_cuts", "string_max_cuts"])
+def test_separate_triangles_refuses_bad_input(Y, max_cuts, match):
+    # a non-finite or non-square Y gave no cuts, which reads as "nothing
+    # violated", and a fractional max_cuts passed with no violation to slice
+    with pytest.raises(ValueError, match=match):
+        separate_triangles(Y, max_cuts=max_cuts)
+
+
 def _pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
 def _ref_triangle(i, j, k):
-    # y_ij + y_ik <= 1 + y_jk with apex i, one Cut at a time
-    return Cut(pairs=(_pair(i, j), _pair(i, k), _pair(j, k)), coeffs=(1.0, 1.0, -1.0), rhs=1.0)
+    # y_ij + y_ik <= 1 + y_jk with apex i, one cut at a time
+    return (_pair(i, j), _pair(i, k), _pair(j, k)), (1.0, 1.0, -1.0), 1.0
+
+
+def _one_block(cuts, ref):
+    # cuts is one block (none for an empty ref) holding the (pairs, coeffs,
+    # rhs) rows of ref, in order
+    blocks = list(cuts.blocks())
+    if not ref:
+        return not blocks
+    return len(blocks) == 1 and all(map(np.array_equal, blocks[0], zip(*ref)))
 
 
 def test_array_families_equal_cut_by_cut_construction():
@@ -100,17 +124,16 @@ def test_array_families_equal_cut_by_cut_construction():
         ref = []
         for a, b, c in itertools.combinations(range(n), 3):
             ref += (_ref_triangle(a, b, c), _ref_triangle(b, a, c), _ref_triangle(c, a, b))
-        assert list(triangle_cuts(n)) == ref, n
+        assert _one_block(triangle_cuts(n), ref), n
         for k in (2, 3):
             if k + 1 <= n:
-                ref = [Cut(pairs=tuple(itertools.combinations(Q, 2)),
-                           coeffs=(-1.0,) * math.comb(k + 1, 2), rhs=-1.0)
+                ref = [(tuple(itertools.combinations(Q, 2)), (-1.0,) * math.comb(k + 1, 2), -1.0)
                        for Q in itertools.combinations(range(n), k + 1)]
-                assert list(independent_set_cuts(n, k)) == ref, (n, k)
+                assert _one_block(independent_set_cuts(n, k), ref), (n, k)
 
 
 def test_triangle_family_memory():
-    # 976,500 cuts as one block of arrays; one Cut object per cut took
+    # 976,500 cuts as one block of arrays; one object per cut took
     # about 336 B per cut (313 MiB)
     tracemalloc.start()
     try:
@@ -140,7 +163,8 @@ def test_separate_triangles_matches_reference(rng):
             if rounded:
                 Y = np.round(Y, 1)  # many equal violations: the tie-break decides
             for max_cuts in (1, 5, 2000):
-                assert separate_triangles(Y, max_cuts, 1e-5) == _ref_separate(Y, max_cuts, 1e-5)
+                cuts = separate_triangles(Y, max_cuts, 1e-5)
+                assert _one_block(cuts, _ref_separate(Y, max_cuts, 1e-5))
 
 
 def test_separate_triangles_memory_is_quadratic(rng):
@@ -159,9 +183,9 @@ def test_separate_triangles_memory_is_quadratic(rng):
 def test_independent_set_cuts():
     assert len(independent_set_cuts(5, 2)) == 10
     assert len(independent_set_cuts(28, 2)) == 3276
-    cut = independent_set_cuts(4, 2)[0]
-    assert cut.rhs == -1.0 and all(c == -1.0 for c in cut.coeffs)
-    assert len(cut.pairs) == 3
+    P, C, b = next(independent_set_cuts(4, 2).blocks())
+    assert b[0] == -1.0 and all(C[0] == -1.0)
+    assert P.shape[1] == 3
     with pytest.raises(CapExceeded):
         independent_set_cuts(73, 3)  # C(73,4) = 1,088,430 cuts
 

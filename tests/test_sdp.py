@@ -14,7 +14,6 @@ from kcut.hamming import hamming_graph
 from kcut.oracle import brute_force_maxkcut, hyperplane_round
 from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
-    Cut,
     CutList,
     SdpModel,
     SdpSolution,
@@ -32,6 +31,17 @@ from kcut.sdp import (
 from kcut.spectra import lambda_max
 
 
+def _cut(pairs, coeffs, rhs):
+    return CutList.from_arrays([pairs], [coeffs], [rhs])  # one cut, a one-row block
+
+
+def _same_blocks(cuts, want):
+    # cuts holds exactly the blocks want, (pairs, coeffs, rhs) arrays, in order
+    got = list(cuts.blocks())
+    return len(got) == len(want) and all(all(map(np.array_equal, g, w))
+                                         for g, w in zip(got, want))
+
+
 def test_cut_blocks_in_matrix_space():
     # cuts on the plain psd cone, two cut arities (3 and 6) in one model, and
     # active cuts whose multipliers the dual bound must recover in full; each
@@ -40,7 +50,7 @@ def test_cut_blocks_in_matrix_space():
     c5.cuts.extend(triangle_cuts(5))
     petersen = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
     petersen.cuts.extend(triangle_cuts(10) + independent_set_cuts(10, 3))
-    assert {len(cut.pairs) for cut in petersen.cuts} == {3, 6}
+    assert {P.shape[1] for P, _, _ in petersen.cuts.blocks()} == {3, 6}
     active = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
     active.cuts.extend(triangle_cuts(5))
     for model in (c5, petersen, active):
@@ -62,16 +72,15 @@ def test_model_validation():
     with pytest.raises(ValueError, match="cone_k"):
         SdpModel(n=3, objective=L, diag_values=np.ones(3), cone="shifted_psd")
     with pytest.raises(ValueError, match="out of range"):
-        SdpModel(n=3, objective=L, diag_values=np.ones(3),
-                 cuts=[Cut(pairs=((0, 5),), coeffs=(1.0,), rhs=1.0)])
+        SdpModel(n=3, objective=L, diag_values=np.ones(3), cuts=_cut(((0, 5),), (1.0,), 1.0))
     with pytest.raises(ValueError, match="0 <= i < j"):
-        Cut(pairs=((2, 1),), coeffs=(1.0,), rhs=1.0)
+        _cut(((2, 1),), (1.0,), 1.0)
     # a cut with no nonzero coefficient has no halfspace to project onto
     with pytest.raises(ValueError, match="all be zero"):
-        Cut(pairs=((0, 1),), coeffs=(0.0,), rhs=1.0)
+        _cut(((0, 1),), (0.0,), 1.0)
     for coeffs, rhs in (((1.0, math.nan), 1.0), ((math.inf, 1.0), 1.0), ((1.0, 1.0), -math.inf)):
         with pytest.raises(ValueError, match="finite"):
-            Cut(pairs=((0, 1), (0, 2)), coeffs=coeffs, rhs=rhs)
+            _cut(((0, 1), (0, 2)), coeffs, rhs)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -107,8 +116,10 @@ def test_cut_list_from_arrays_validates_like_cut():
     P = np.array([[[0, 1], [0, 2]], [[1, 2], [0, 2]]])
     C = np.array([[1.0, -1.0], [2.0, 0.5]])
     cuts = CutList.from_arrays(P, C, [0.5, 1.0])
-    assert list(cuts) == [Cut(pairs=((0, 1), (0, 2)), coeffs=(1.0, -1.0), rhs=0.5),
-                          Cut(pairs=((1, 2), (0, 2)), coeffs=(2.0, 0.5), rhs=1.0)]
+    (block,) = cuts.blocks()
+    assert all(map(np.array_equal, block, ([((0, 1), (0, 2)), ((1, 2), (0, 2))],
+                                           [(1.0, -1.0), (2.0, 0.5)], [0.5, 1.0])))
+    assert not any(a.flags.writeable for a in block)
     bad = [(P[:, :1], C, [0.5, 1.0], "matching"),
            (P[:, ::-1, ::-1], C, [0.5, 1.0], "0 <= i < j"),
            (P[:, [0, 0]], C, [0.5, 1.0], "distinct"),
@@ -120,40 +131,64 @@ def test_cut_list_from_arrays_validates_like_cut():
             CutList.from_arrays(pairs, coeffs, rhs)
 
 
-def test_cut_list_behaves_as_a_list_of_cuts():
+def test_cut_list_joins_and_slices_blocks():
+    # + and extend share the other CutList's blocks, read-only; a range
+    # slice gives views of the rows it covers, block by block
     tri, six = triangle_cuts(5), independent_set_cuts(5, 3)
-    single = Cut(pairs=((0, 2),), coeffs=(1.0,), rhs=0.1)
-    as_list = list(tri)
-    assert len(tri) == 30 and tri[0] == as_list[0] and tri[-1] == as_list[-1]
-    assert tri[3:7] == as_list[3:7] and tri[::-4] == as_list[::-4] and tri[40:] == []
-    mixed = [six[0], tri[0], single] + tri[1:] + six[1:]
+    (T,), (S,) = tri.blocks(), six.blocks()
+    single = _cut(((0, 2),), (1.0,), 0.1)
+    assert len(tri) == 30 and len(tri[40:]) == 0 and len(tri[-4:]) == 4
+    assert _same_blocks(tri[3:7], [[a[3:7] for a in T]])
+    assert all(np.shares_memory(a, b) and not a.flags.writeable
+               for a, b in zip(next(tri[3:7].blocks()), T))
+    mixed = six[:1] + tri[:1] + single + tri[1:] + six[1:]
     assert isinstance(mixed, CutList) and len(mixed) == 3 + 29 + 4
-    assert mixed == [six[0], tri[0], single] + as_list[1:] + list(six)[1:]
-    grown = CutList(mixed)
-    grown.append(single)
-    grown.extend([tri[2], six[1]])
-    grown.extend(grown[:2])
-    assert list(grown) == list(mixed) + [single, tri[2], six[1], six[0], tri[0]]
-    tail = tri[:2] + [single]  # a block, then a run of appended Cuts
-    longer = tail + [single]  # grows its own copy of the run
+    want = [[a[:1] for a in S], [a[:1] for a in T], next(single.blocks()),
+            [a[1:] for a in T], [a[1:] for a in S]]
+    assert _same_blocks(mixed, want)
+    assert _same_blocks(mixed[1:4], [want[1], want[2], [a[1:2] for a in T]])
+    grown = CutList()
+    grown.extend(mixed)
+    grown.extend(grown[:2])  # extending a CutList by a slice of itself
+    assert len(grown) == 38 and _same_blocks(grown, want + want[:2])
+    tail = tri[:2] + single
+    longer = tail + single  # a new CutList: tail keeps its blocks
     assert len(tail) == 3 and len(longer) == 4 and len(mixed) == 36
-    with pytest.raises(IndexError):
-        tri[30]
-    with pytest.raises(TypeError):
-        grown.append((((0, 1),), (1.0,), 1.0))
-    model = SdpModel(n=5, objective=np.zeros((5, 5)), diag_values=np.ones(5), cuts=as_list)
-    assert isinstance(model.cuts, CutList) and model.cuts == tri
+
+
+def test_cut_list_refuses_per_cut_use():
+    # a list where a CutList belongs, an integer index and a stepped slice
+    # raise, naming what they were given; no per-cut object remains
+    tri = triangle_cuts(5)
+    with pytest.raises(TypeError, match="^cuts must be a CutList, got list"):
+        SdpModel(n=5, objective=np.zeros((5, 5)), diag_values=np.ones(5), cuts=[tri[:1]])
+    for join in (CutList().extend, tri.__add__):
+        with pytest.raises(TypeError, match="^expected a CutList, got list"):
+            join([tri[:1]])
+    for index in (0, -1, np.int64(2)):
+        with pytest.raises(TypeError, match="^CutList takes a slice, not"):
+            tri[index]
+    with pytest.raises(TypeError, match="^CutList takes a slice"):
+        list(tri)
+    for step in (2, -1):
+        with pytest.raises(ValueError, match=f"^CutList slices take no step, got {step}"):
+            tri[::step]
+    assert not hasattr(kcut, "Cut") and not hasattr(kcut.sdp, "Cut")
+    assert "Cut" not in kcut.sdp.__all__
 
 
 def test_family_blocks_solve_like_explicit_cuts():
     # Coxeter with all 13,104 cuts: the families' blocks and the same cuts
-    # appended one Cut at a time give one operator, so one solve, bit for bit
+    # added one at a time, each a one-row block, give one operator, so one
+    # solve, bit for bit
     g = named_graph("coxeter")
     fams = triangle_cuts(28) + independent_set_cuts(28, 2)
     blocks, explicit = build(g, 2, RelaxationKind.MAIN_SDP), build(g, 2, RelaxationKind.MAIN_SDP)
     blocks.cuts.extend(fams)
-    for cut in fams:
-        explicit.cuts.append(Cut(pairs=cut.pairs, coeffs=cut.coeffs, rhs=cut.rhs))
+    for P, C, b in fams.blocks():
+        for row in zip(P.tolist(), C.tolist(), b.tolist()):
+            explicit.cuts.extend(_cut(*row))
+    assert len(explicit.cuts) == 13_104
     a, b = solve(blocks), solve(explicit)
     assert a.status == b.status == "optimal"
     assert np.array_equal(a.Y, b.Y) and a.iterations == b.iterations
@@ -161,10 +196,11 @@ def test_family_blocks_solve_like_explicit_cuts():
 
 
 def test_appended_cut_out_of_range_is_rejected():
-    # cuts appended after construction skip SdpModel's own index check;
+    # cuts extended into a model after construction skip SdpModel's own
+    # index check;
     # flat position 0 * 5 + 5 would read Y[1, 0]
     model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
-    model.cuts.append(Cut(pairs=((0, 5),), coeffs=(1.0,), rhs=-0.3))
+    model.cuts.extend(_cut(((0, 5),), (1.0,), -0.3))
     with pytest.raises(ValueError, match="out of range"):
         solve(model)
     with pytest.raises(ValueError, match="out of range"):
@@ -226,7 +262,7 @@ def test_certify_optimal_and_bogus():
 
     # a solution violating one triangle cut by 0.1 flags exactly that cut
     model2 = build(g, 2, RelaxationKind.MAIN_SDP)
-    model2.cuts.append(Cut(pairs=((0, 1),), coeffs=(1.0,), rhs=0.4))
+    model2.cuts.extend(_cut(((0, 1),), (1.0,), 0.4))
     Y = np.eye(5)
     Y[0, 1] = Y[1, 0] = 0.5
     bad = certify(model2, SdpSolution.from_matrix(model2, Y), tol=1e-7)
@@ -265,10 +301,10 @@ def test_certify_maps_cut_violations_to_model_order():
     # arity-6 and arity-3 cuts interleaved: the residual routine groups them
     # by arity, and only the second (an arity-3 cut) is violated
     model = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
-    six = independent_set_cuts(10, 3)[0]
-    three = triangle_cuts(10)[0]
-    model.cuts.extend([six, Cut(pairs=three.pairs, coeffs=three.coeffs, rhs=-10.0), six])
-    assert [len(cut.pairs) for cut in model.cuts] == [6, 3, 6]
+    six = independent_set_cuts(10, 3)[:1]
+    P, C, _ = next(triangle_cuts(10)[:1].blocks())
+    model.cuts.extend(six + CutList.from_arrays(P, C, [-10.0]) + six)
+    assert [P.shape[1] for P, _, _ in model.cuts.blocks()] == [6, 3, 6]
     X = Partition(assignment=np.arange(10) % 3, k=3).incidence()
     rep = certify(model, SdpSolution.from_matrix(model, X @ X.T))
     assert rep.violated_cuts == (1,) and not rep.cuts_ok
@@ -311,7 +347,7 @@ _INFEASIBLE_PROBES = [
 
 def _c5_with_cut(kind, k, pairs, rhs):
     model = build(named_graph("cycle", (5,)), k, kind)
-    model.cuts.append(Cut(pairs=pairs, coeffs=(1.0,) * len(pairs), rhs=rhs))
+    model.cuts.extend(_cut(pairs, (1.0,) * len(pairs), rhs))
     return model
 
 
@@ -584,7 +620,7 @@ def test_cut_violated_late_joins_the_working_set():
     g = _dominance_corpus()[7]
     uncut = solve(build(g, 2, RelaxationKind.PERTURBED_SDP))
     model = build(g, 2, RelaxationKind.PERTURBED_SDP)
-    model.cuts.append(Cut(pairs=((3, 7),), coeffs=(-1.0,), rhs=0.3))
+    model.cuts.extend(_cut(((3, 7),), (-1.0,), 0.3))
     assert solve(model, SolverOptions(max_iter=25)).info["working_cuts"] == 0
     sol = solve(model)
     obj, opts = sol.objective_value, SolverOptions()
@@ -601,7 +637,7 @@ def test_working_operator_slices_the_full_one():
     # else shares its group
     model = build(named_graph("petersen"), 3, RelaxationKind.MAIN_SDP)
     model.cuts.extend(independent_set_cuts(10, 3)[:4] + triangle_cuts(10)[:5]
-                      + [Cut(pairs=((1, 4),), coeffs=(2.0,), rhs=0.5)])
+                      + _cut(((1, 4),), (2.0,), 0.5))
     full = _Cuts.of(model.n, model.cuts)
     assert [IDX.shape for _, IDX, _ in full.groups] == [(6, 4), (3, 5), (1, 1)]
     M = np.random.default_rng(0).random((10, 10))
@@ -660,7 +696,10 @@ def test_cut_kernels_match_the_reference_formulas(rng):
     ops = [_Cuts.of(n, CutList())]
     families = [_random_cuts(n, a, 40, rng) for a in (1, 3, 6, 10, 15)]
     ops += [_Cuts.of(n, cuts) for cuts in families]
-    ops.append(_Cuts.of(n, CutList(list(families[0][:7]))))  # seven one-row blocks
+    seven = CutList()
+    for c in range(7):
+        seven.extend(families[0][c:c + 1])  # seven one-row blocks
+    ops.append(_Cuts.of(n, seven))
     ops.append(_Cuts.of(n, sum(families[1:], families[0])))
     assert [len(op.groups) for op in ops] == [0, 1, 1, 1, 1, 1, 1, 5]
     for op in ops:
@@ -691,12 +730,12 @@ def test_farkas_short_cut_reads_the_full_verdict(rng):
     # eigenvalue shift already clears its threshold; that bound is a lower
     # bound on the shifted one, so the verdict is the full bound's
     g = named_graph("cycle", (5,))
-    cut = Cut(pairs=((0, 2),), coeffs=(1.0,), rhs=0.1)
+    cut = _cut(((0, 2),), (1.0,), 0.1)
     shortcuts = full_reads = 0
     for kind in RelaxationKind:
         for k in (2, 3):
             model = build(g, k, kind)
-            model.cuts.extend(triangle_cuts(5) + [cut])
+            model.cuts.extend(triangle_cuts(5) + cut)
             state = _SolverState(model, SolverOptions())
             state.grow(np.ones(state.cuts.size, bool), np.eye(5), 0.0, 0.0, 0.0)
             for scale in (1e-8, 1e-3, 1.0, 1e3):
@@ -747,19 +786,20 @@ def test_cut_groups_and_scaled_duplicates():
     # changes neither the optimum nor its certificate
     g = named_graph("cycle", (5,))
     tri, six = triangle_cuts(5), independent_set_cuts(5, 3)
-    mixed = [six[0], tri[0], Cut(pairs=((0, 2),), coeffs=(1.0,), rhs=0.1)] + tri[1:] + six[1:]
-    dup = Cut(pairs=tri[0].pairs, coeffs=tuple(2.0 * c for c in tri[0].coeffs),
-              rhs=2.0 * tri[0].rhs)
-    assert dup.coeffs == (2.0, 2.0, -2.0) and dup.rhs == 2.0
+    mixed = six[:1] + tri[:1] + _cut(((0, 2),), (1.0,), 0.1) + tri[1:] + six[1:]
+    P, C, b = next(tri[:1].blocks())
+    dup = CutList.from_arrays(P, 2.0 * C, 2.0 * b)
+    assert np.array_equal(next(dup.blocks())[1], [[2.0, 2.0, -2.0]])
+    assert np.array_equal(next(dup.blocks())[2], [2.0])
     sols = []
-    for cuts in (mixed, mixed + [dup]):
+    for cuts in (mixed, mixed + dup):
         model = build(g, 2, RelaxationKind.MAIN_SDP)
         model.cuts.extend(cuts)
         sol = solve(model)
         assert sol.status == "optimal" and certify(model, sol).passed
         assert sol.dual_bound >= sol.objective_value
         sols.append(sol)
-    assert {len(cut.pairs) for cut in mixed} == {1, 3, 6}
+    assert {P.shape[1] for P, _, _ in mixed.blocks()} == {1, 3, 6}
     ref = sols[0].objective_value
     assert abs(sols[1].objective_value - ref) <= SolverOptions().tol_gap * (1 + abs(ref))
     assert ref < 25.0 / 6.0 - 1e-3  # the arity-1 cut is active
@@ -845,10 +885,10 @@ def test_dual_bound_sandwiches_objective(rng):
 def test_dump_model_format():
     g = named_graph("cycle", (4,))
     model = build(g, 2, RelaxationKind.MAIN_SDP)
-    model.cuts.append(Cut(pairs=((0, 1), (0, 2), (1, 2)), coeffs=(1.0, 1.0, -1.0), rhs=1.0))
-    # a family block, then a cut appended after it
+    model.cuts.extend(_cut(((0, 1), (0, 2), (1, 2)), (1.0, 1.0, -1.0), 1.0))
+    # a family block, then a one-row block after it
     model.cuts.extend(triangle_cuts(4))
-    model.cuts.append(Cut(pairs=((0, 3),), coeffs=(0.1,), rhs=1.0 / 3.0))
+    model.cuts.extend(_cut(((0, 3),), (0.1,), 1.0 / 3.0))
     text = dump_model(model)
     lines = text.splitlines()
     assert lines[0] == "kcut-sdp-model 1"
@@ -865,11 +905,28 @@ def test_dump_model_format():
     assert cut_lines[0] == cut_lines[1] == "cut 1 3 0 1 1 0 2 1 1 2 -1"
     assert cut_lines[12] == "cut 1 3 1 3 1 2 3 1 1 2 -1"
     assert cut_lines[13] == "cut 0.33333333333333331 1 0 3 0.10000000000000001"
-    # 17 significant digits read back to the very cuts
+    # 17 significant digits read back to the very cuts, block by block
     parsed = []
     for ln in cut_lines:
         _, rhs, arity, *terms = ln.split()
-        parsed.append(Cut(pairs=tuple(zip(map(int, terms[0::3]), map(int, terms[1::3]))),
-                          coeffs=tuple(map(float, terms[2::3])), rhs=float(rhs)))
-        assert len(parsed[-1].pairs) == int(arity)
-    assert parsed == list(model.cuts)
+        parsed.append(_cut(tuple(zip(map(int, terms[0::3]), map(int, terms[1::3]))),
+                           tuple(map(float, terms[2::3])), float(rhs)))
+        assert next(parsed[-1].blocks())[0].shape[1] == int(arity)
+    rows = [[a[r:r + 1] for a in block] for block in model.cuts.blocks()
+            for r in range(block[2].size)]
+    assert _same_blocks(sum(parsed, CutList()), rows)
+
+
+def test_dump_model_reads_back_the_blocks():
+    # Coxeter with both families, 13,104 cuts of arity 3: the cut lines
+    # parse back to exactly the concatenated blocks() arrays
+    model = build(named_graph("coxeter"), 2, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(triangle_cuts(28) + independent_set_cuts(28, 2))
+    lines = dump_model(model).splitlines()
+    assert "cuts 13104" in lines
+    cut_lines = [ln.split() for ln in lines if ln.startswith("cut ")]
+    assert len(cut_lines) == 13_104 and {ln[2] for ln in cut_lines} == {"3"}
+    terms = np.array([ln[3:] for ln in cut_lines], dtype=float).reshape(-1, 3, 3)
+    P, C, b = (np.concatenate(arrays) for arrays in zip(*model.cuts.blocks()))
+    assert np.array_equal(terms[..., :2], P) and np.array_equal(terms[..., 2], C)
+    assert np.array_equal([float(ln[1]) for ln in cut_lines], b)
