@@ -22,10 +22,27 @@ folds as a shift of the projected point -- plus one tiny block per cut, each
 a halfspace projection touching only its few upper-triangle entries (read at
 flat positions i*n + j and summed back onto both (i, j) and (j, i)).
 Over-relaxation is fixed at 1.6 and the penalty parameter is auto-scaled
-from the objective norm, then held fixed for the whole solve.  The start
-point is the cone's barycentre (1 - s) I + s J, so runs are deterministic.
-One object, ``_SolverState``, holds a solve's data and state; ``solve``
-builds it and runs its loop.
+from the objective norm, then held fixed for the whole solve.  One object,
+``_SolverState``, holds a solve's data and state; ``solve`` builds it and
+runs its loop.
+
+A model without cuts starts at the closed-form optimum of its trace
+relaxation, the diagonal summed into a trace and the floor dropped:
+X0 = s J + (sum(d) - n s) / r P, with P the projector onto the top
+eigenspace of the objective G, of rank r -- the eigenvalue bound's optimum
+(``_SolverState.closed_form``).  When X0 passes the model's own residual
+test it is optimal for the model too, and the elementwise multiplier starts
+at the eigenvalue bound's, U_el = (G - lambda_max I) / rho: the pair is a
+fixed point of the step, and the solve certifies at its first check, as
+eig_sdp always does, and so do the diagonal-constrained relaxations of a
+walk-regular graph, whose P has a constant diagonal, wherever X0 meets the
+floor too.  Otherwise U_el starts at 0: the bound's multipliers beside an
+X0 that fails the test took Petersen's main_sdp at k = 3 from 4 iterations
+to 36.  A model with cuts starts at the cone's barycentre (1 - s) I + s J
+with zero multipliers: started at X0, a barely infeasible cut took seven
+times as many iterations to be proved so.  Every start is deterministic, and
+the stop test is the same certified one whichever it is;
+``sol.info["start"]`` names it.
 
 A lower bound that the cone already implies is presolved away: under a
 diagonal constraint d, Y - s J >= 0 gives |Y_ij - s| <= sqrt((d_i - s)(d_j
@@ -103,25 +120,27 @@ the plain step's output.  It must find the equality, lower-bound and cut
 residuals within tolerance, then the least cone eigenvalue, computed only
 once those pass, and then a dual feasible point assembled from the block
 multipliers (shifting the diagonal multiplier enough to make the slack
-matrix PSD) must give a weak-duality upper bound within ``tol_gap`` of the
-objective.  A solve is ``optimal`` exactly when this certified test stopped
-it; the dual bound stays a valid upper bound however the loop ends.
+matrix PSD) must give a weak-duality upper bound at or above the objective
+and within ``tol_gap`` of it: an objective above its own bound, which an
+iterate within the residual tolerances can read, certifies nothing.  A
+solve is ``optimal`` exactly when this certified test stopped it; the dual
+bound stays a valid upper bound however the loop ends.
 
 The test runs at every 25th iteration, a full check, and at the perfect
-squares up to 144 (iterations 1, 4, 9, 16, 36, ..., 144), a stop-only
-check: many small and association-scheme models certify within 9 to 18
-iterations.  The check at iteration 1, should its residuals fail, grows
-the working set as a full check does.  At a full check whose residuals
-fail, the same dual assembly runs on the step of the multipliers with a
-zero objective: on an infeasible model ADMM's dual iterates diverge along a
-Farkas ray (Banjac, Goulart, Stellato & Boyd 2019), and a negative value
-proves that no feasible point exists.  Only that proof reports
-``infeasible``.  Its eigensolve runs only when the value without the
+squares up to 144 (iterations 1, 4, 9, 16, 36, ..., 144), a stop-only check:
+a model started at its optimum certifies at iteration 1, and many small
+models within 4 to 16 iterations.  The check at iteration 1, should its
+residuals fail, grows the working set as a full check does.  At a full check
+whose residuals fail, the same dual assembly runs on the step of the
+multipliers with a zero objective: on an infeasible model ADMM's dual
+iterates diverge along a Farkas ray (Banjac, Goulart, Stellato & Boyd 2019),
+and a negative value proves that no feasible point exists.  Only that proof
+reports ``infeasible``.  Its eigensolve runs only when the value without the
 eigenvalue shift, a lower bound on the shifted one, is below the proof's
 threshold: the verdict is the same.  Every later stop-only check runs the
 stop test alone: no Farkas test, no growth of the working set, no write to
-the solver's state.  So a solve takes exactly the iterates it takes with
-the first check and the full checks alone, and can only stop sooner.
+the solver's state.  So a solve takes exactly the iterates it takes with the
+first check and the full checks alone, and can only stop sooner.
 
 The ADMM primal and dual residuals that the solution reports, whose cut
 term reads every working cut, are computed only at the checks whose figures
@@ -248,7 +267,7 @@ class CutList:
         return f"CutList({self._len} cuts in {len(self._blocks)} blocks)"
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpModel:
     """max obj_scale * tr(objective @ Y) over the structured feasible set.
 
@@ -337,6 +356,7 @@ _EARLY_LAST = 144  # the last early, stop-only check: perfect squares up to it
 _AA_DEPTH = 20  # Anderson history length
 _AA_RIDGE = 1e-10  # normal-equation ridge, relative to the Gram trace
 _AA_MAX_REJECTED = 500  # safeguard rejections before acceleration stops
+_CLUSTER = 1e-9  # the top eigenspace's width, relative to max(1, |lambda_max|)
 
 
 @dataclass
@@ -643,6 +663,14 @@ def _eigh(M: np.ndarray):
     return w, Q
 
 
+def _within(resid: dict, opts: SolverOptions) -> bool:
+    """The residual half of the certified test: the equality, lower-bound
+    and cut residuals within ``tol_eq``, then the least cone eigenvalue
+    within ``tol_psd``."""
+    return (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
+            <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd)
+
+
 def _check_at(it: int) -> bool:
     """Whether iteration ``it`` ends with a check: a full one every
     ``_CHECK_EVERY`` iterations, and at the perfect squares up to
@@ -698,9 +726,37 @@ class _SolverState:
         self.last_check = next(it for it in range(opts.max_iter, 0, -1) if _check_at(it))
         self.aa = _Anderson(n)
         self.working = np.zeros(self.cuts.size, bool)
-        X0 = np.full((n, n), self.shift)
-        np.fill_diagonal(X0, 1.0)  # the barycentre (1 - s) I + s J
-        self.grow(self.cuts.apply(X0) - self.cuts.rhs > opts.tol_eq, X0, 0.0, 0.0, 0.0)
+        if self.cuts.size:
+            X0 = np.full((n, n), self.shift)
+            np.fill_diagonal(X0, 1.0)  # the barycentre (1 - s) I + s J
+            U0, self.start = 0.0, "barycentre"
+        else:
+            X0, U0, self.start = self.closed_form()
+        self.grow(self.cuts.apply(X0) - self.cuts.rhs > opts.tol_eq, X0, U0, 0.0, 0.0)
+
+    def closed_form(self):
+        """(X0, U_el, start) for a model without cuts (see the module
+        docstring): X0 = s J + (sum(d) - n s) / r P, tr in place of sum(d)
+        under a trace constraint, with P the projector onto the eigenvectors
+        of G whose eigenvalues lie within ``_CLUSTER`` max(1, |lambda_max|)
+        of lambda_max, which does not depend on the basis ``eigh`` picks
+        inside that eigenspace; U_el = (G - lambda_max I) / rho, the
+        eigenvalue bound's multipliers (nu = lambda_max on the diagonal, M =
+        0), when X0 passes the model's own residual test, else 0."""
+        n, s = self.n, self.shift
+        with np.errstate(all="ignore"):
+            w, Q = _eigh(self.G)
+        lam = float(w[-1])
+        top = Q[:, w >= lam - _CLUSTER * max(1.0, abs(lam))]
+        total = float(self.diag.sum()) if self.diag is not None else self.trace
+        X0 = np.matmul(top, top.T)  # a symmetric rank-r product: exactly symmetric
+        X0 *= (total - n * s) / top.shape[1]
+        X0 += s
+        if not _within(_residuals(self.model, X0, self.cuts, self.opts.tol_eq)[0], self.opts):
+            return X0, 0.0, "closed_form"
+        U0 = self.g_rho.copy()
+        U0.reshape(-1)[:: n + 1] -= lam / self.rho
+        return X0, U0, "closed_form_pair"
 
     def grow(self, new: np.ndarray, X, U_el, E, beta):
         """Add the cuts ``new`` to the working set and start x at (X, U_el,
@@ -794,10 +850,10 @@ class _SolverState:
         resid, cut_viol = _residuals(self.model, Xn, self.cuts, opts.tol_eq)
         self.resid = resid
         verdict = new = None
-        if (max(resid["equality"], resid["lower_violation"], resid["cut_violation"])
-                <= opts.tol_eq and resid["cone_min_eig"] >= -opts.tol_psd):
+        if _within(resid, opts):
             self.obj, self.bound = self.readout(self.y)
-            if self.bound - self.obj <= opts.tol_gap * (1 + abs(self.obj)):
+            # an objective above its own dual bound certifies nothing
+            if 0.0 <= self.bound - self.obj <= opts.tol_gap * (1 + abs(self.obj)):
                 verdict = "optimal"
         elif it == 1 or it % _CHECK_EVERY == 0:
             # only the first check and the full ones act on failed
@@ -947,7 +1003,8 @@ class _SolverState:
             dual_bound=bound, gap=None if bound is None else bound - self.obj,
             iterations=it, runtime=runtime,
             info={"rho": self.rho, "working_cuts": self.wc.size, "aa_steps": aa.steps,
-                  "aa_rejected": aa.rejected, "model": self.model.name})
+                  "aa_rejected": aa.rejected, "model": self.model.name,
+                  "start": self.start})
 
 
 def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
@@ -961,8 +1018,11 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     the ADMM ``primal`` and ``dual`` residuals of the last check;
     ``sol.info`` reports the fixed penalty (``rho``), the final size of the
     working set (``working_cuts``), the accepted (``aa_steps``) and rejected
-    (``aa_rejected``) accelerated steps over the whole solve, and the
-    model's name (``model``).
+    (``aa_rejected``) accelerated steps over the whole solve, the model's
+    name (``model``), and the start (``start``): ``closed_form_pair``, the
+    trace relaxation's optimum with the eigenvalue bound's multipliers,
+    ``closed_form``, that optimum alone, or ``barycentre`` (models with
+    cuts; see the module docstring).
     """
     return _SolverState(model, options or SolverOptions()).run()
 

@@ -271,8 +271,8 @@ def test_exit_code_cap(capsys):
 
 def test_exit_code_solver_failure(tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("max_iter = 10\n")
-    code, _, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
+    cfg.write_text("max_iter = 10\n")  # C_9 at k = 3 certifies at iteration 16
+    code, _, err = run_cli(capsys, "bound", "--family", "cycle", "9", "--k", "3",
                            "--method", "sdp", "--config", str(cfg))
     assert code == EXIT_SOLVER and "max_iter" in err
 

@@ -370,8 +370,10 @@ def test_boundary_cut_is_not_infeasible():
 
 
 def test_max_iter_status():
-    g = named_graph("cycle", (5,))
-    sol = solve(build(g, 2, RelaxationKind.MAIN_SDP), SolverOptions(max_iter=10))
+    # C_9 at k = 3 certifies at iteration 16 (C_5 at k = 2 starts at its
+    # optimum and certifies at iteration 1)
+    g = named_graph("cycle", (9,))
+    sol = solve(build(g, 3, RelaxationKind.MAIN_SDP), SolverOptions(max_iter=10))
     assert sol.status == "max_iter"
     assert "primal" in sol.residuals
 
@@ -380,7 +382,7 @@ def _certified(sol, opts):
     res = sol.residuals
     return (max(res["equality"], res["lower_violation"], res["cut_violation"]) <= opts.tol_eq
             and res["cone_min_eig"] >= -opts.tol_psd
-            and sol.gap <= opts.tol_gap * (1 + abs(sol.objective_value)))
+            and 0.0 <= sol.gap <= opts.tol_gap * (1 + abs(sol.objective_value)))
 
 
 def test_stop_rule_is_the_certified_test():
@@ -401,7 +403,8 @@ def test_stop_rule_is_the_certified_test():
 
 @pytest.mark.parametrize("d, q, j, k", [(2, 9, 2, 2), (2, 9, 2, 9), (4, 3, 3, 3)])
 def test_scheme_solves_stop_before_the_first_full_check(d, q, j, k):
-    # these Hamming-scheme solves certify by iteration 16, a stop-only check
+    # these Hamming-scheme solves start at their closed-form optimum and
+    # certify at iteration 1, well before the first full check
     sol = solve(build(hamming_graph(d, q, j), k, RelaxationKind.MAIN_SDP))
     assert sol.status == "optimal" and sol.iterations < 25
 
@@ -527,8 +530,9 @@ def test_projection_survives_an_eigensolver_failure(monkeypatch):
     # rounding's factorization then decompose the reversed matrix, an exact
     # permutation similarity, and go on.  The failure is injected at the
     # gufunc ``_eigh`` calls, which reports it as LAPACK's does: NaN outputs
-    # and the invalid flag raised, which must not surface as a warning
-    g = named_graph("petersen")
+    # and the invalid flag raised, which must not surface as a warning.
+    # Coxeter at k = 3 takes 16 iterations, so 17 calls with the start's
+    g = named_graph("coxeter")
     model = build(g, 3, RelaxationKind.MAIN_SDP)
     ref = solve(model)
     ref_cut = hyperplane_round(ref, g, 3, seed=5)[1]
@@ -580,8 +584,10 @@ def _traced_peak(fn):
 
 
 def test_acceleration_memory_is_bounded():
-    # the Anderson history is O(n^2): H(4,3,4) has n = 81
-    model = build(hamming_graph(4, 3, 4), 2, RelaxationKind.MAIN_SDP)
+    # the Anderson history is O(n^2): H(4,3,4) has n = 81; at k = 4 its start
+    # is not optimal, so the solve takes accelerated steps (at k = 2 it
+    # certifies at iteration 1)
+    model = build(hamming_graph(4, 3, 4), 4, RelaxationKind.MAIN_SDP)
     sol, peak = _traced_peak(lambda: solve(model))
     assert sol.status == "optimal" and sol.info["aa_steps"] > 0
     assert peak <= 4 * 2**20
@@ -757,8 +763,8 @@ def test_farkas_short_cut_reads_the_full_verdict(rng):
 def test_capped_solve_reports_the_residuals_of_its_last_check():
     # the ADMM residuals are computed only at the checks whose figures the
     # solution reports; capped between checks, a solve reports those of its
-    # last check, iteration 9 under both caps
-    model = build(named_graph("cycle", (5,)), 2, RelaxationKind.MAIN_SDP)
+    # last check, iteration 9 under both caps (C_9 at k = 3 certifies at 16)
+    model = build(named_graph("cycle", (9,)), 3, RelaxationKind.MAIN_SDP)
     nine, ten = (solve(model, SolverOptions(max_iter=m)) for m in (9, 10))
     assert nine.status == ten.status == "max_iter"
     assert (nine.iterations, ten.iterations) == (9, 10)
@@ -866,6 +872,64 @@ def test_relabelled_graphs_solve_to_the_same_value():
         moved = solve(build(h, k, RelaxationKind.MAIN_SDP))
         assert base.status == moved.status == "optimal"
         assert abs(base.objective_value - moved.objective_value) <= 1e-6 * (1 + abs(base.objective_value))
+
+
+def test_eig_sdp_certifies_at_its_closed_form():
+    # eig_sdp's optimum is n(k-1)/(2k) lambda_max(L): every ladder graph
+    # starts at it with the eigenvalue bound's multipliers and certifies at
+    # the first check
+    rng = np.random.Generator(np.random.PCG64(1))
+    for n in range(6, 15):
+        W = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+        g, k = Graph(n=n, weights=W + W.T, name=f"G({n},1/2)"), 2 + n % 3
+        sol = solve(build(g, k, RelaxationKind.EIG_SDP))
+        closed = n * (k - 1) / (2.0 * k) * lambda_max(g)
+        assert sol.status == "optimal" and sol.iterations == 1, n
+        assert sol.info["start"] == "closed_form_pair", n
+        assert abs(sol.objective_value - closed) <= 1e-12 * closed, n
+        assert 0.0 <= sol.gap, n
+
+
+def test_tight_models_certify_at_the_first_check():
+    # the eigenvalue bound is tight on Hamming graphs, and at k = 2 on the
+    # vertex-transitive Petersen and C_5, so every relaxation starts at its
+    # optimum; where the start fails the model's floor (C_5 at k = 3) it is
+    # the primal alone, and a model with cuts starts at the barycentre
+    tight = [(hamming_graph(2, 9, 2), 2), (hamming_graph(2, 9, 2), 9),
+             (named_graph("petersen"), 2), (named_graph("cycle", (5,)), 2)]
+    for g, k in tight:
+        for kind in RelaxationKind:
+            sol = solve(build(g, k, kind))
+            assert sol.status == "optimal" and sol.iterations == 1, (g.name, k, kind)
+            assert sol.info["start"] == "closed_form_pair", (g.name, k, kind)
+    c5 = named_graph("cycle", (5,))
+    sol = solve(build(c5, 3, RelaxationKind.MAIN_SDP))
+    assert sol.status == "optimal" and sol.info["start"] == "closed_form"
+    model = build(c5, 2, RelaxationKind.MAIN_SDP)
+    model.cuts.extend(triangle_cuts(5))
+    sol = solve(model)
+    assert sol.status == "optimal" and sol.info["start"] == "barycentre"
+
+
+def test_closed_form_start_is_basis_free():
+    # the start reads the projector onto the top eigenspace, which does not
+    # depend on the eigenvectors LAPACK picks: Petersen's has dimension 4,
+    # and a relabelled graph starts at the permuted point
+    rng = np.random.default_rng(5)
+    for g in (named_graph("petersen"), hamming_graph(2, 3, 2), random_graph(11, 0.5, rng)):
+        p = rng.permutation(g.n)
+        h = Graph(n=g.n, weights=g.weights[np.ix_(p, p)], name=g.name)
+        for kind in RelaxationKind:
+            X0, Y0 = (_SolverState(build(f, 3, kind), SolverOptions()).x[1]
+                      for f in (g, h))
+            assert np.max(np.abs(X0[np.ix_(p, p)] - Y0)) <= 1e-12, (g.name, kind)
+
+
+def test_models_compare_by_identity():
+    c5 = named_graph("cycle", (5,))
+    a, b = build(c5, 2, RelaxationKind.MAIN_SDP), build(c5, 2, RelaxationKind.MAIN_SDP)
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_n_cap():
