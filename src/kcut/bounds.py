@@ -1,6 +1,8 @@
 """Closed-form bounds: the Laplacian eigenvalue bound for max-k-cut, the
 derived chromatic-number lower bound, the Hoffman bound, the strongly-regular
-closed form, and the exact complete-graph max-k-cut."""
+closed form, and the exact complete-graph max-k-cut.  ``RUNGS`` maps each
+``kcut bound`` method, the SDP relaxations and their cuts included, to the
+function that computes it."""
 
 from __future__ import annotations
 
@@ -9,12 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import relaxations
 from .graphs import Graph, laplacian
 from .spectra import lambda_max
 
 __all__ = [
     "BoundReport",
+    "RUNGS",
     "SrgParameters",
+    "detect_srg",
     "eigenvalue_bound",
     "chromatic_lower_bound",
     "hoffman_bound",
@@ -148,6 +153,29 @@ def hoffman_bound(g: Graph) -> BoundReport:
     )
 
 
+def detect_srg(g: Graph) -> SrgParameters:
+    """(n, kappa, lam, mu) read exactly from A^2 = kappa I + lam A + mu (J - I - A).
+
+    A weighted or irregular graph, one whose lam or mu is not constant and a
+    disjoint union of cliques (mu = 0) raise ValueError.
+    """
+    A = g.weights
+    if not np.isin(A, (0.0, 1.0)).all():
+        raise ValueError("srg method needs an unweighted graph")
+    degs = A.sum(axis=1)
+    if np.any(degs != degs[0]):
+        raise ValueError("srg method needs a regular graph")
+    # a 0/1 product counts common neighbours, exactly in floating point
+    A2 = A @ A
+    lam = np.unique(A2[A == 1.0])
+    mu = np.unique(A2[(A == 0.0) & ~np.eye(g.n, dtype=bool)])
+    if len(lam) != 1 or len(mu) != 1:
+        raise ValueError("graph is not strongly regular")
+    if mu[0] == 0:
+        raise ValueError("srg method needs a connected strongly regular graph")
+    return SrgParameters(g.n, int(degs[0]), int(lam[0]), int(mu[0]))
+
+
 def srg_sdp_bound(p: SrgParameters, k: int) -> BoundReport:
     """Closed form min{ n(k-1)/(2k) (kappa - s), kappa n / 2 } for the SDP
     bound on the max-k-cut of a strongly regular graph.
@@ -211,3 +239,38 @@ def maxkcut_feasibility_flag(g: Graph, k: int) -> bool:
     k-coloring cuts every edge, hence chi(G) >= k+1."""
     _check_k(k, g.n)
     return eigenvalue_bound(g, k).value < g.total_weight
+
+
+def _sdp_rung(kind: str, family=None):
+    """The rung solving relaxation ``kind`` of (g, k), plus the cuts
+    ``family(g, k)`` if given.  Its value is the certified dual bound, an
+    upper bound at any status but ``infeasible``, where it is None."""
+
+    def rung(g: Graph, k: int, options) -> BoundReport:
+        model = relaxations.build(g, k, kind)
+        meta = {}
+        if family is not None:
+            model.cuts.extend(family(g, k))
+            meta["num_cuts"] = len(model.cuts)
+        sol = relaxations.solve(model, options)
+        meta.update(objective=sol.objective_value, iterations=sol.iterations,
+                    status=sol.status, residuals=sol.residuals, solution=sol)
+        return BoundReport(value=sol.dual_bound, kind="upper_bound_maxkcut",
+                           source=kind, k=k, metadata=meta)
+
+    return rung
+
+
+# every bound ``kcut bound --method`` computes, by method name: each maps
+# (g, k, options) to a BoundReport.  The SDP rungs read build, solve and the
+# families off ``relaxations`` at call time, so wrappers installed there see them
+RUNGS = {
+    "eig": lambda g, k, options: eigenvalue_bound(g, k),
+    "perturbed": _sdp_rung("perturbed_sdp"),
+    "sdp": _sdp_rung("main_sdp"),
+    "sdp+triangles": _sdp_rung("main_sdp", lambda g, k: relaxations.triangle_cuts(g.n)),
+    "sdp+indep": _sdp_rung("main_sdp", lambda g, k: relaxations.independent_set_cuts(g.n, k)),
+    "chromatic": lambda g, k, options: chromatic_lower_bound(g),
+    "hoffman": lambda g, k, options: hoffman_bound(g),
+    "srg": lambda g, k, options: srg_sdp_bound(detect_srg(g), k),
+}

@@ -1,11 +1,12 @@
 """Command-line interface: bound / exact / conjecture / reproduce.
 
 Exit codes: 0 success, 2 parse or usage error, 3 solver failure (an
-eigensolver failure included), 4 work or size cap exceeded.  Every command
-can emit JSON (--json) with stable keys (graph, k, method, value, residuals,
-runtime_ms).  For the SDP methods of ``bound`` the value is the solve's
-certified dual bound, and the JSON adds dual_bound (the same number),
-objective (the attained primal value) and iterations.
+eigensolver failure, or an ``infeasible`` solve), 4 work or size cap
+exceeded.  Every command can emit JSON (--json) with stable keys (graph, k,
+method, value, residuals, runtime_ms).  ``bound`` reads its methods from
+``bounds.RUNGS``.  For the SDP methods the value is the solve's certified
+dual bound at any other status, and the JSON adds dual_bound (the same
+number), objective (the attained primal value), iterations and status.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ EXIT_PARSE = 2
 EXIT_SOLVER = 3
 EXIT_CAP = 4
 
-_METHODS = (
-    "eig", "perturbed", "sdp", "sdp+triangles", "sdp+indep",
-    "chromatic", "hoffman", "srg",
-)
+# the metadata every payload shows, in text and JSON, where its rung reports it
+_SHOWN = ("floor", "ceiling", "active_term", "num_cuts")
 
 
 class CliError(Exception):
@@ -94,138 +93,62 @@ def _load_graph(args):
     return g
 
 
-def _detect_srg(g):
-    """(n, kappa, lam, mu) read exactly from A^2 = kappa I + lam A + mu (J - I - A)."""
-    import numpy as np
-
-    from .bounds import SrgParameters
-
-    A = g.weights
-    if not np.isin(A, (0.0, 1.0)).all():
-        raise CliError("srg method needs an unweighted graph", EXIT_PARSE)
-    degs = A.sum(axis=1)
-    if np.any(degs != degs[0]):
-        raise CliError("srg method needs a regular graph", EXIT_PARSE)
-    # a 0/1 product counts common neighbours, exactly in floating point
-    A2 = A @ A
-    lam = np.unique(A2[A == 1.0])
-    mu = np.unique(A2[(A == 0.0) & ~np.eye(g.n, dtype=bool)])
-    if len(lam) != 1 or len(mu) != 1:
-        raise CliError("graph is not strongly regular", EXIT_PARSE)
-    if mu[0] == 0:
-        raise CliError("srg method needs a connected strongly regular graph", EXIT_PARSE)
-    return SrgParameters(g.n, int(degs[0]), int(lam[0]), int(mu[0]))
-
-
 def _check_k(k, lo, hi):
     if not lo <= k <= hi:
         raise CliError(f"--k must lie in {lo}..{hi} for this graph, got {k}", EXIT_PARSE)
 
 
-def _solve_checked(model, opts):
-    from .errors import CapExceeded
-    from .sdp import solve
-
-    try:
-        sol = solve(model, opts)
-    except CapExceeded as exc:
-        raise CliError(str(exc), EXIT_CAP) from exc
-    if sol.status != "optimal":
-        raise CliError(
-            f"solver finished with status {sol.status} "
-            f"(primal residual {sol.residuals.get('primal'):.2e})",
-            EXIT_SOLVER,
-        )
-    return sol
-
-
 def _cmd_bound(args):
     from numpy.linalg import LinAlgError
 
-    try:
-        return _bound(args)
-    except LinAlgError as exc:
-        raise CliError(f"numerical failure: {exc}", EXIT_SOLVER) from exc
-
-
-def _bound(args):
-    from .bounds import chromatic_lower_bound, eigenvalue_bound, hoffman_bound, srg_sdp_bound
+    from .bounds import RUNGS
     from .errors import CapExceeded
-    from .relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 
     g = _load_graph(args)
     opts = _load_solver_options(args.config)
     method = args.method
     k = args.k
     t0 = time.perf_counter()
-    residuals = {}
-    extra = {}
-    sol = None
-
-    if method in ("eig", "perturbed", "sdp", "sdp+triangles", "sdp+indep", "srg"):
+    if method not in ("chromatic", "hoffman"):
         if k is None:
             raise CliError(f"method {method} requires --k", EXIT_PARSE)
         _check_k(k, 2, g.n - 1 if method == "srg" else g.n)
+    try:
+        rep = RUNGS[method](g, k, opts)
+    except LinAlgError as exc:  # a ValueError too, so caught first
+        raise CliError(f"numerical failure: {exc}", EXIT_SOLVER) from exc
+    except CapExceeded as exc:
+        raise CliError(str(exc), EXIT_CAP) from exc
+    except ValueError as exc:  # a graph the rung does not apply to
+        raise CliError(str(exc), EXIT_PARSE) from exc
+    meta = rep.metadata
+    status = meta.get("status")
+    if rep.value is None:
+        raise CliError(f"solver finished with status {status}, no bound to report", EXIT_SOLVER)
 
-    if method == "eig":
-        rep = eigenvalue_bound(g, k)
-        value = rep.value
-        extra["floor"] = rep.metadata["floor"]
-    elif method == "perturbed":
-        sol = _solve_checked(build(g, k, RelaxationKind.PERTURBED_SDP), opts)
-    elif method == "sdp":
-        sol = _solve_checked(build(g, k, RelaxationKind.MAIN_SDP), opts)
-    elif method in ("sdp+triangles", "sdp+indep"):
-        model = build(g, k, RelaxationKind.MAIN_SDP)
-        try:
-            if method == "sdp+triangles":
-                model.cuts.extend(triangle_cuts(g.n))
-            else:
-                model.cuts.extend(independent_set_cuts(g.n, k))
-        except CapExceeded as exc:
-            raise CliError(str(exc), EXIT_CAP) from exc
-        except ValueError as exc:  # a family the graph is too small for
-            raise CliError(str(exc), EXIT_PARSE) from exc
-        extra["num_cuts"] = len(model.cuts)
-        sol = _solve_checked(model, opts)
-    elif method == "chromatic":
-        rep = chromatic_lower_bound(g)
-        value = rep.value
-        extra["ceiling"] = rep.metadata["ceiling"]
-    elif method == "hoffman":
-        rep = hoffman_bound(g)
-        value = rep.value
-        extra["ceiling"] = rep.metadata["ceiling"]
-    else:  # srg
-        params = _detect_srg(g)
-        rep = srg_sdp_bound(params, k)
-        value = rep.value
-        extra["active_term"] = rep.metadata["active_term"]
-    if sol is not None:
-        # the certified dual bound is an upper bound at any iterate; the
-        # objective, read on a nearly feasible iterate, may sit above it
-        value, residuals = sol.dual_bound, sol.residuals
-
+    shown = {key: meta[key] for key in _SHOWN if key in meta}
     payload = {
         "graph": g.name or f"graph(n={g.n})",
         "k": k,
         "method": method,
-        "value": value,
-        "residuals": {key: float(v) for key, v in residuals.items()},
+        "value": rep.value,
+        "residuals": {key: float(v) for key, v in meta.get("residuals", {}).items()},
         "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-        **extra,
+        **shown,
     }
     if args.json:
-        if sol is not None:
-            payload.update(dual_bound=sol.dual_bound, objective=sol.objective_value,
-                           iterations=sol.iterations)
+        if status is not None:
+            payload.update(dual_bound=rep.value, objective=meta["objective"],
+                           iterations=meta["iterations"], status=status)
         print(json.dumps(payload, indent=2))
     else:
         bits = [payload["graph"], f"method={method}"]
         if k is not None:
             bits.insert(1, f"k={k}")
-        bits.append(f"value={value:.4f}")
-        bits += [f"{key}={val}" for key, val in extra.items()]
+        bits.append(f"value={rep.value:.4f}")
+        bits += [f"{key}={val}" for key, val in shown.items()]
+        if status not in (None, "optimal"):
+            bits.append(f"status={status}")
         bits.append(f"({payload['runtime_ms']:.0f} ms)")
         print("  ".join(str(b) for b in bits))
     return EXIT_OK
@@ -330,6 +253,8 @@ def _cmd_reproduce(args):
 
 
 def _build_parser():
+    from .bounds import RUNGS
+
     ap = argparse.ArgumentParser(
         prog="kcut",
         description="Eigenvalue and SDP bounds for max-k-cut and the chromatic number",
@@ -348,7 +273,7 @@ def _build_parser():
     b = sub.add_parser("bound", help="compute one bound for a graph")
     add_graph_args(b)
     b.add_argument("--k", type=int)
-    b.add_argument("--method", choices=_METHODS, required=True)
+    b.add_argument("--method", choices=list(RUNGS), required=True)
     b.add_argument("--config", help="key=value file overriding solver tolerances")
     b.set_defaults(fn=_cmd_bound)
 

@@ -275,12 +275,10 @@ def hamming_tightness_certificate(
     _, cut = _first_coordinate_cut(g, q)
     bound_2q = g.n * (q - 1) * lam  # 2q * (eigenvalue bound at k = q)
 
-    from .relaxations import RelaxationKind, build
-    from .sdp import solve
+    from .bounds import RUNGS
 
     sdp_checks = {
-        k: (solve(build(g, k, RelaxationKind.MAIN_SDP), solver_options).dual_bound,
-            g.n * (k - 1) / (2.0 * k) * lam)
+        k: (RUNGS["sdp"](g, k, solver_options).value, g.n * (k - 1) / (2.0 * k) * lam)
         for k in solve_k
     }
     return TightnessReport(

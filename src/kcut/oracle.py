@@ -22,11 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import eigenvalue_bound
+# perfbench/tracing.py wraps eigenvalue_bound, build and solve on this module
+from .bounds import RUNGS, eigenvalue_bound  # noqa: F401
 from .errors import CapExceeded
 from .graphs import Graph, Partition, cut_weight
-from .relaxations import RelaxationKind, build, cutting_plane_loop
-from .sdp import SdpSolution, SolverOptions, _eigh, solve
+from .relaxations import build, cutting_plane_loop  # noqa: F401
+from .sdp import SdpSolution, SolverOptions, _eigh, solve  # noqa: F401
 
 __all__ = [
     "WorkCapExceeded",
@@ -278,6 +279,8 @@ class GapReport:
     rows: tuple[tuple[str, float], ...]
     exact: float | None = None
     meta: dict = field(default_factory=dict)
+    # [best rounded cut, least upper bound] where the oracle refused the graph
+    bracket: tuple[float, float] | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -286,6 +289,8 @@ class GapReport:
             "exact": self.exact,
             "bounds": {name: val for name, val in self.rows},
         }
+        if self.bracket is not None:
+            payload["bracket"] = list(self.bracket)
         if self.exact is not None:
             payload["gaps"] = {
                 name: {
@@ -301,6 +306,9 @@ class GapReport:
         width = max(len(name) for name, _ in self.rows) + 2
         if self.exact is not None:
             lines.append(f"{'exact':<{width}}{self.exact:>14.6f}")
+        if self.bracket is not None:
+            lo, hi = self.bracket
+            lines.append(f"{'bracket':<{width}}[{lo:.6f}, {hi:.6f}]")
         for name, val in self.rows:
             gap = f"  ({val - self.exact:+.6f})" if self.exact is not None else ""
             lines.append(f"{name:<{width}}{val:>14.6f}{gap}")
@@ -318,21 +326,26 @@ def gap_report(
 ) -> GapReport:
     """Table of exact value, closed-form bounds, each solve's dual bound (an
     upper bound even when the solver stops early) and the best rounded cut
-    for ``(g, k)``; requires the exact oracle to be feasible."""
-    _, exact = brute_force_maxkcut(g, k, state_cap=state_cap)
-    rows = []
-    rows.append(("eigenvalue_bound", eigenvalue_bound(g, k).value))
-    impr = solve(build(g, k, RelaxationKind.PERTURBED_SDP), options)
-    rows.append(("perturbed_bound", impr.dual_bound))
-    main = solve(build(g, k, RelaxationKind.MAIN_SDP), options)
-    rows.append(("main_sdp", main.dual_bound))
+    for ``(g, k)``.  The rows ``eigenvalue_bound``, ``perturbed_bound`` and
+    ``main_sdp`` are the ``RUNGS`` ``eig``, ``perturbed`` and ``sdp``.  Where
+    the oracle refuses the graph, ``exact`` is None and ``bracket`` holds
+    the best rounded cut and the least upper bound."""
+    try:
+        _, exact = brute_force_maxkcut(g, k, state_cap=state_cap)
+    except WorkCapExceeded:
+        exact = None
+    reps = {name: RUNGS[method](g, k, options) for name, method in (
+        ("eigenvalue_bound", "eig"), ("perturbed_bound", "perturbed"), ("main_sdp", "sdp"))}
+    rows = [(name, rep.value) for name, rep in reps.items()]
     if with_cuts:
         loop = cutting_plane_loop(
             g, k, families=("triangles", "independent_sets"), options=options
         )
         rows.append(("main_sdp_with_cuts", loop.dual_bound))
+    main = reps["main_sdp"].metadata["solution"]
     _, rounded = hyperplane_round(main, g, k, trials=rounding_trials, seed=seed)
+    bracket = None if exact is not None else (rounded, min(val for _, val in rows))
     rows.append(("best_rounded_cut", rounded))
     return GapReport(
-        graph=g.name or f"graph(n={g.n})", k=k, rows=tuple(rows), exact=exact
+        graph=g.name or f"graph(n={g.n})", k=k, rows=tuple(rows), exact=exact, bracket=bracket
     )

@@ -1,11 +1,14 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from kcut.bounds import SrgParameters, srg_sdp_bound
-from kcut.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, _detect_srg, main
+from kcut.bounds import RUNGS, SrgParameters, detect_srg, srg_sdp_bound
+from kcut.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 from kcut.graphs import named_graph
+from kcut.oracle import gap_report
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +38,26 @@ def test_bound_sdp_triangles_pentagon(capsys):
     objective = payload["objective"]
     assert objective <= payload["value"] == payload["dual_bound"] <= objective + 1e-5
     assert payload["iterations"] > 0
+
+
+@pytest.mark.parametrize("family", [("cycle", "5"), ("petersen",)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_gap_report_rows_are_the_bound_methods(capsys, family, k):
+    g = named_graph(family[0], tuple(int(p) for p in family[1:]))
+    rows = dict(gap_report(g, k, with_cuts=False, rounding_trials=1).rows)
+    for name, method in (("eigenvalue_bound", "eig"), ("perturbed_bound", "perturbed"),
+                         ("main_sdp", "sdp")):
+        code, out, _ = run_cli(capsys, "bound", "--family", *family, "--k", str(k),
+                               "--method", method, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == rows[name], method
+
+
+def test_readme_lists_every_method():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = readme[readme.index("Methods: "):]
+    listed = re.findall(r"`([^`]+)`", line[:line.index(".")])
+    assert listed == list(RUNGS)
 
 
 def test_bound_chromatic_k100_minus_edge(capsys):
@@ -216,7 +239,7 @@ _SRG = [  # family, (kappa, lam, mu)
 def test_bound_srg_reads_exact_parameters(capsys, family, params):
     g = named_graph(family[0], tuple(int(p) for p in family[1:]))
     p = SrgParameters(g.n, *params)
-    assert _detect_srg(g) == p
+    assert detect_srg(g) == p
     for k in range(2, g.n):
         code, out, _ = run_cli(capsys, "bound", "--family", *family, "--k", str(k),
                                "--method", "srg", "--json")
@@ -272,9 +295,32 @@ def test_exit_code_cap(capsys):
 def test_exit_code_solver_failure(tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("max_iter = 10\n")  # C_9 at k = 3 certifies at iteration 16
-    code, _, err = run_cli(capsys, "bound", "--family", "cycle", "9", "--k", "3",
-                           "--method", "sdp", "--config", str(cfg))
-    assert code == EXIT_SOLVER and "max_iter" in err
+    code, out, _ = run_cli(capsys, "bound", "--family", "cycle", "9", "--k", "3",
+                           "--method", "sdp", "--config", str(cfg), "--json")
+    # a capped solve still reports its certified dual bound, an upper bound
+    # at or above C_9's max-3-cut |E| = 9
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["status"] == "max_iter"
+    assert payload["value"] == payload["dual_bound"] >= 9.0
+
+
+def test_exit_code_infeasible_solve(monkeypatch, capsys):
+    from dataclasses import replace
+
+    import kcut.relaxations
+
+    solve = kcut.relaxations.solve
+
+    def infeasible(model, options=None):
+        return replace(solve(model, options), status="infeasible", dual_bound=None)
+
+    # an infeasible solve has no bound to report
+    monkeypatch.setattr(kcut.relaxations, "solve", infeasible)
+    code, out, err = run_cli(capsys, "bound", "--family", "cycle", "5", "--k", "2",
+                             "--method", "sdp", "--json")
+    assert code == EXIT_SOLVER and out == ""
+    assert err.startswith("error: solver finished with status infeasible")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -7,6 +7,7 @@ import pytest
 
 import kcut.oracle
 from conftest import random_graph, random_weighted_graph
+from kcut.acceptance import _random_graph
 from kcut.graphs import Graph, Partition, cut_weight, named_graph
 from kcut.oracle import (
     DEFAULT_STATE_CAP,
@@ -121,8 +122,25 @@ def test_one_state_cap_for_every_k():
     # k = 2 honours the same cap as k >= 3
     petersen = named_graph("petersen")
     for k in (2, 3):
-        with pytest.raises(WorkCapExceeded, match="states"):
-            gap_report(petersen, k, with_cuts=False, state_cap=10)
+        assert gap_report(petersen, k, with_cuts=False, state_cap=10).exact is None
+
+
+def test_gap_report_brackets_a_graph_past_the_oracle():
+    # the second PCG64(12) draw, G(30, 1/2): 2^29 states at k = 2, above the
+    # default cap; its max-cut, 137 by enumeration past the cap, lies in the bracket
+    rng = np.random.Generator(np.random.PCG64(12))
+    _random_graph(24, 0.5, rng)
+    g = _random_graph(30, 0.5, rng)
+    rep = gap_report(g, 2, with_cuts=False)
+    *upper, (name, rounded) = rep.rows
+    assert rep.exact is None and name == "best_rounded_cut"
+    assert rep.bracket == (rounded, min(val for _, val in upper))
+    assert rounded == 137.0 and 140.0 < rep.bracket[1] <= dict(upper)["main_sdp"] < 140.1
+    payload = json.loads(rep.to_json())
+    assert payload["exact"] is None and "gaps" not in payload
+    assert payload["bracket"] == list(rep.bracket)
+    lo, hi = rep.bracket
+    assert f"[{lo:.6f}, {hi:.6f}]" in rep.to_text() and "exact" not in rep.to_text()
 
 
 def test_table_consistency(rng):

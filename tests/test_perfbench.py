@@ -30,3 +30,25 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (kcut.relaxations.separate_triangles, kcut.sdp.solve, kcut.sdp.np) == before
+
+
+def test_tracer_sees_the_cli_solve_and_its_cuts(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import kcut.cli
+    from tracing import Tracer
+
+    tracer = Tracer(0.0)
+    tracer.install()
+    try:
+        code = kcut.cli.main(["bound", "--family", "cycle", "5", "--k", "2",
+                              "--method", "sdp+triangles"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    spans = {}
+    for s in tracer.spans:
+        spans.setdefault(s.name, []).append(s)
+    assert len(spans["sdp.solve"]) == 1
+    [cuts] = spans["relaxations.triangle_cuts"]
+    assert cuts.attrs["count"] == 30
