@@ -5,6 +5,10 @@ q-cut with its exact tightness certificate.
 All Kravchuk and multiplicity computations use Python integers, so the
 conjecture grid is exact even at d = 30, q = 15; floating point only enters
 when building dense adjacency matrices or talking to the SDP machinery.
+Every Kravchuk table is built one coordinate at a time, by the exact
+recurrence of the generating function (1 + (q-1) z)^(d-i) (1 - z)^i in d,
+two integer operations an entry and no division (``_kravchuk_rows``); the
+conjecture grid reads every d at one q from a single pass of it.
 Each exact fact is computed once and reported, not asserted: the
 certificate's ``tight`` is its own comparison, not an identity check.
 """
@@ -80,20 +84,38 @@ class KravchukTable:
         return worst
 
 
+def _kravchuk_rows(q: int, dmax: int):
+    """Yield K[j][i] = K_j(i), as a list of rows j, for d = 0, 1, ..., dmax
+    positions over the alphabet q.
+
+    One coordinate at a time, by the exact recurrence of the generating
+    function sum_j K_j(i) z^j = (1 + (q-1) z)^(d-i) (1 - z)^i: a position
+    added to a word's agreeing part multiplies it by 1 + (q-1) z, and the new
+    column i = d + 1 is column d times 1 - z, so
+    K'_j(i) = K_j(i) + (q-1) K_(j-1)(i) for i <= d and
+    K'_j(d+1) = K_j(d) - K_(j-1)(d), with K_-1 = K_(d+1) = 0: two integer
+    operations an entry and no division.  Each table is a new list.
+    """
+    m = q - 1
+    rows = [[1]]
+    yield rows
+    for d in range(dmax):
+        prev = [0] * (d + 1)
+        nxt = []
+        for row in rows + [prev]:
+            nxt.append([a + m * b for a, b in zip(row, prev)] + [row[-1] - prev[-1]])
+            prev = row
+        rows = nxt
+        yield rows
+
+
 def kravchuk_table(d: int, q: int) -> KravchukTable:
+    """The table for d positions, the last of the one-coordinate recurrence
+    from d = 0, and the multiplicities."""
     if q < 2 or d < 0:
         raise ValueError("need q >= 2 and d >= 0")
-    # rows by the exact three-term recurrence, from K_0 = 1 and K_-1 = 0:
-    # (j+1) K_{j+1}(i) = ((q-1)(d-j) + j - qi) K_j(i) - (q-1)(d-j+1) K_{j-1}(i),
-    # whose division by j + 1 leaves no remainder
-    rows = [[1] * (d + 1)]
-    prev = [0] * (d + 1)
-    qi = range(0, q * d + 1, q)
-    for j in range(d):
-        cur = rows[-1]
-        a, b = (q - 1) * (d - j) + j, (q - 1) * (d - j + 1)
-        rows.append([((a - x) * c - b * p) // (j + 1) for x, c, p in zip(qi, cur, prev)])
-        prev = cur
+    for rows in _kravchuk_rows(q, d):
+        pass
     K = tuple(tuple(row) for row in rows)
     mult = tuple(comb(d, i) * (q - 1) ** i for i in range(d + 1))
     return KravchukTable(d=d, q=q, K=K, multiplicities=mult)
@@ -175,29 +197,28 @@ def check_conjecture(d: int, q: int) -> ConjectureReport:
     """
     if d < 1 or q < 2:
         raise ValueError("need d >= 1 and q >= 2")
-    table = kravchuk_table(d, q)
-    rows = []
+    return _conjecture_report(d, q, kravchuk_table(d, q).K)
+
+
+def _conjecture_report(d: int, q: int, K) -> ConjectureReport:
+    """The report of the rows j >= 1 of the Kravchuk table K for (d, q)."""
+    out = []
     for j in range(1, d + 1):
-        vals = table.K[j]
-        argmin = vals.index(min(vals))  # the first minimum
-        rows.append(
-            ConjectureRow(
-                d=d,
-                q=q,
-                j=j,
-                in_hypothesis=in_conjecture_hypothesis(d, q, j),
-                k_at_one=vals[1],
-                min_value=vals[argmin],
-                argmin=argmin,
-                passed=vals[argmin] == vals[1],
-            )
-        )
-    return ConjectureReport(d=d, q=q, rows=tuple(rows))
+        vals = K[j]
+        low = min(vals)
+        argmin = vals.index(low)  # the first minimum
+        out.append(ConjectureRow(
+            d=d, q=q, j=j, in_hypothesis=in_conjecture_hypothesis(d, q, j),
+            k_at_one=vals[1], min_value=low, argmin=argmin, passed=low == vals[1]))
+    return ConjectureReport(d=d, q=q, rows=tuple(out))
 
 
 def conjecture_grid(dmax: int, qmax: int) -> list[ConjectureReport]:
-    """Reports for every (d, q) with 1 <= d <= dmax, 2 <= q <= qmax."""
-    return [check_conjecture(d, q) for d in range(1, dmax + 1) for q in range(2, qmax + 1)]
+    """Reports for every (d, q) with 1 <= d <= dmax, 2 <= q <= qmax, d
+    major; every d at one q is read from one pass of the recurrence."""
+    by_q = [[_conjecture_report(d, q, K) for d, K in enumerate(_kravchuk_rows(q, dmax)) if d]
+            for q in range(2, qmax + 1)]
+    return [reps[d] for d in range(dmax) for reps in by_q]
 
 
 def _first_coordinate_cut(g: Graph, q: int) -> tuple[Partition, int]:

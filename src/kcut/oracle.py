@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -278,7 +278,6 @@ class GapReport:
     k: int
     rows: tuple[tuple[str, float], ...]
     exact: float | None = None
-    meta: dict = field(default_factory=dict)
     # [best rounded cut, least upper bound] where the oracle refused the graph
     bracket: tuple[float, float] | None = None
 

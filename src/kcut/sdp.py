@@ -33,16 +33,19 @@ eigenspace of the objective G, of rank r -- the eigenvalue bound's optimum
 (``_SolverState.closed_form``).  When X0 passes the model's own residual
 test it is optimal for the model too, and the elementwise multiplier starts
 at the eigenvalue bound's, U_el = (G - lambda_max I) / rho: the pair is a
-fixed point of the step, and the solve certifies at its first check, as
-eig_sdp always does, and so do the diagonal-constrained relaxations of a
-walk-regular graph, whose P has a constant diagonal, wherever X0 meets the
-floor too.  Otherwise U_el starts at 0: the bound's multipliers beside an
-X0 that fails the test took Petersen's main_sdp at k = 3 from 4 iterations
-to 36.  A model with cuts starts at the cone's barycentre (1 - s) I + s J
-with zero multipliers: started at X0, a barely infeasible cut took seven
-times as many iterations to be proved so.  Every start is deterministic, and
-the stop test is the same certified one whichever it is;
-``sol.info["start"]`` names it.
+fixed point of the step.  The certified test then runs on the pair as it
+stands, before any step: its residuals are those X0 just passed, and its
+objective and dual bound are read from the pair.  A pass returns X0
+``optimal`` at iteration 0, as eig_sdp always does, and so do the
+diagonal-constrained relaxations of a walk-regular graph, whose P has a
+constant diagonal, wherever X0 meets the floor too; a fail starts the loop
+from the pair.  Otherwise U_el starts at 0: the bound's multipliers beside
+an X0 that fails the test took Petersen's main_sdp at k = 3 from 4
+iterations to 36.  A model with cuts starts at the cone's barycentre
+(1 - s) I + s J with zero multipliers: started at X0, a barely infeasible
+cut took seven times as many iterations to be proved so.  Every start is
+deterministic, and the stop test is the same certified one whichever it
+is; ``sol.info["start"]`` names it.
 
 A lower bound that the cone already implies is presolved away: under a
 diagonal constraint d, Y - s J >= 0 gives |Y_ij - s| <= sqrt((d_i - s)(d_j
@@ -128,16 +131,16 @@ bound stays a valid upper bound however the loop ends.
 
 The test runs at every 25th iteration, a full check, and at the perfect
 squares up to 144 (iterations 1, 4, 9, 16, 36, ..., 144), a stop-only check:
-a model started at its optimum certifies at iteration 1, and many small
-models within 4 to 16 iterations.  The check at iteration 1, should its
-residuals fail, grows the working set as a full check does.  At a full check
-whose residuals fail, the same dual assembly runs on the step of the
-multipliers with a zero objective: on an infeasible model ADMM's dual
-iterates diverge along a Farkas ray (Banjac, Goulart, Stellato & Boyd 2019),
-and a negative value proves that no feasible point exists.  Only that proof
-reports ``infeasible``.  Its eigensolve runs only when the value without the
-eigenvalue shift, a lower bound on the shifted one, is below the proof's
-threshold: the verdict is the same.  Every later stop-only check runs the
+many small models certify within 4 to 16 iterations.  The check at
+iteration 1, should its residuals fail, grows the working set as a full
+check does.  At a full check whose residuals fail, the same dual assembly
+runs on the step of the multipliers with a zero objective: on an
+infeasible model ADMM's dual iterates diverge along a Farkas ray (Banjac,
+Goulart, Stellato & Boyd 2019), and a negative value proves that no
+feasible point exists.  Only that proof reports ``infeasible``.  Its
+eigensolve runs only when the value without the eigenvalue shift, a lower
+bound on the shifted one, is below the proof's threshold: the verdict is
+the same.  Every later stop-only check runs the
 stop test alone: no Farkas test, no growth of the working set, no write to
 the solver's state.  So a solve takes exactly the iterates it takes with the
 first check and the full checks alone, and can only stop sooner.
@@ -145,7 +148,8 @@ first check and the full checks alone, and can only stop sooner.
 The ADMM primal and dual residuals that the solution reports, whose cut
 term reads every working cut, are computed only at the checks whose figures
 are reported: the one that ends the solve, and the last one within
-``max_iter``.  No other check reads them.
+``max_iter``.  No other check reads them, and a solve certified at its start
+takes no step and reports none.
 """
 
 from __future__ import annotations
@@ -688,7 +692,8 @@ class _SolverState:
     runs a check on y (the certified test, the Farkas test and growth);
     ``grow`` adds cuts to the working set, the start point's included;
     ``readout`` gives the objective and dual bound of a state, through
-    ``dual_bound``; ``run`` is the loop.  x and y are (buffer, X, U_el, E,
+    ``dual_bound``, and ``certified`` the certified test's gap half on
+    them; ``run`` is the loop.  x and y are (buffer, X, U_el, E,
     beta), the rest views of the flat buffer, the vector being accelerated;
     E sits in the buffer even without working cuts, where it stays zero.
     """
@@ -722,7 +727,7 @@ class _SolverState:
         self.C, self.D, self.zn_psd, self.zn_el, self.T = (np.zeros((n, n)) for _ in range(5))
         # the ADMM residuals, of the check that ends the solve or of the
         # last one within max_iter, the only checks that compute them
-        self.primal = self.dual = np.inf
+        self.admm = {}
         self.last_check = next(it for it in range(opts.max_iter, 0, -1) if _check_at(it))
         self.aa = _Anderson(n)
         self.working = np.zeros(self.cuts.size, bool)
@@ -742,7 +747,9 @@ class _SolverState:
         of lambda_max, which does not depend on the basis ``eigh`` picks
         inside that eigenspace; U_el = (G - lambda_max I) / rho, the
         eigenvalue bound's multipliers (nu = lambda_max on the diagonal, M =
-        0), when X0 passes the model's own residual test, else 0."""
+        0), when X0 passes the model's own residual test, else 0.  A passing
+        X0's residuals are kept for the certified test at the start
+        (``run``)."""
         n, s = self.n, self.shift
         with np.errstate(all="ignore"):
             w, Q = _eigh(self.G)
@@ -752,8 +759,10 @@ class _SolverState:
         X0 = np.matmul(top, top.T)  # a symmetric rank-r product: exactly symmetric
         X0 *= (total - n * s) / top.shape[1]
         X0 += s
-        if not _within(_residuals(self.model, X0, self.cuts, self.opts.tol_eq)[0], self.opts):
+        resid = _residuals(self.model, X0, self.cuts, self.opts.tol_eq)[0]
+        if not _within(resid, self.opts):
             return X0, 0.0, "closed_form"
+        self.resid = resid
         U0 = self.g_rho.copy()
         U0.reshape(-1)[:: n + 1] -= lam / self.rho
         return X0, U0, "closed_form_pair"
@@ -851,9 +860,7 @@ class _SolverState:
         self.resid = resid
         verdict = new = None
         if _within(resid, opts):
-            self.obj, self.bound = self.readout(self.y)
-            # an objective above its own dual bound certifies nothing
-            if 0.0 <= self.bound - self.obj <= opts.tol_gap * (1 + abs(self.obj)):
+            if self.certified(self.y):
                 verdict = "optimal"
         elif it == 1 or it % _CHECK_EVERY == 0:
             # only the first check and the full ones act on failed
@@ -878,12 +885,20 @@ class _SolverState:
                 # lam_c) coef_c; an off-diagonal cut entry stands for two
                 # matrix entries, so it counts twice in the Frobenius norm
                 r2 += 2 * np.sum(wc.entries(X - E - Xn, -(beta + self.lam)) ** 2)
-            self.primal = float(np.sqrt(r2))
-            self.dual = float(rho * np.linalg.norm(Xn - X))
+            self.admm = {"primal": float(np.sqrt(r2)),
+                         "dual": float(rho * np.linalg.norm(Xn - X))}
         if new is not None and new.any():
             self.grow(new, Xn, U_eln, En, betan)
             return "grown"
         return verdict
+
+    def certified(self, state) -> bool:
+        """The gap half of the certified test, on a state whose residuals
+        passed: the dual bound of its multipliers at or above its objective
+        and within ``tol_gap`` (1 + |objective|) of it; both are kept."""
+        self.obj, self.bound = self.readout(state)
+        # an objective above its own dual bound certifies nothing
+        return 0.0 <= self.bound - self.obj <= self.opts.tol_gap * (1 + abs(self.obj))
 
     def readout(self, state) -> tuple[float, float]:
         """The objective at the state's X and the dual bound of its
@@ -972,13 +987,17 @@ class _SolverState:
     def run(self) -> SdpSolution:
         """Step and check until a verdict or ``max_iter``; the solution
         reads the last plain step, and its ADMM residuals are those of the
-        last check, which computes them (``check``)."""
-        aa, status, it = self.aa, "max_iter", 0
+        last check, which computes them (``check``).  A ``closed_form_pair``
+        start, whose X0 passed the residual test, is certified as it stands
+        when its gap passes too: ``optimal`` at iteration 0, no step taken."""
+        aa, status, it, last = self.aa, "max_iter", 0, self.opts.max_iter
         t0 = time.perf_counter()
+        if self.start == "closed_form_pair" and self.certified(self.x):
+            status, last = "optimal", 0
         # one error-state context for the loop's LAPACK gufuncs (``_eigh``,
         # the Anderson solve), which report a failure by NaN
         with np.errstate(all="ignore"):
-            for it in range(1, self.opts.max_iter + 1):
+            for it in range(1, last + 1):
                 self.step()
                 verdict = self.check(it) if _check_at(it) else None
                 if verdict in ("optimal", "infeasible"):
@@ -999,7 +1018,7 @@ class _SolverState:
         bound = None if status == "infeasible" else self.bound
         return SdpSolution(
             Y=self.last[1].copy(), objective_value=self.obj, status=status,
-            residuals=dict(self.resid, primal=self.primal, dual=self.dual),
+            residuals={**self.resid, **self.admm},
             dual_bound=bound, gap=None if bound is None else bound - self.obj,
             iterations=it, runtime=runtime,
             info={"rho": self.rho, "working_cuts": self.wc.size, "aa_steps": aa.steps,
@@ -1011,11 +1030,16 @@ def solve(model: SdpModel, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the model; see the module docstring for the scheme.
 
     Status ``optimal`` means the certified test stopped the loop, and
-    ``sol.residuals`` and ``sol.gap`` are the figures it read; ``infeasible``
-    means a Farkas certificate stopped it; ``max_iter`` returns the last
-    plain step.  ``sol.dual_bound`` is a valid upper bound under every
-    status but ``infeasible``, where it is None.  The residuals also carry
-    the ADMM ``primal`` and ``dual`` residuals of the last check;
+    ``sol.residuals`` and ``sol.gap`` are the figures it read; at iteration
+    0 it passed on the ``closed_form_pair`` start, and ``sol.Y`` is that X0;
+    ``infeasible`` means a Farkas certificate stopped it; ``max_iter``
+    returns the last plain step.  ``sol.dual_bound`` is a valid upper bound
+    under every status but ``infeasible``, where it is None.
+    ``sol.residuals`` holds the model's ``equality``, ``cone_min_eig``,
+    ``lower_violation`` and ``cut_violation``, finite whenever the status is
+    ``optimal``, and after at least one step the ADMM ``primal`` and
+    ``dual`` residuals of the last check, which a solve certified at
+    iteration 0 lacks;
     ``sol.info`` reports the fixed penalty (``rho``), the final size of the
     working set (``working_cuts``), the accepted (``aa_steps``) and rejected
     (``aa_rejected``) accelerated steps over the whole solve, the model's

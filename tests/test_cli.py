@@ -40,6 +40,23 @@ def test_bound_sdp_triangles_pentagon(capsys):
     assert payload["iterations"] > 0
 
 
+def _no_constant(name):
+    raise ValueError(f"non-finite {name} in the JSON")
+
+
+@pytest.mark.parametrize("family", [("hamming", "2", "9", "2"), ("petersen",)])
+def test_bound_json_is_strict_for_a_solve_certified_at_its_start(capsys, family):
+    # both main_sdp solves certify at their closed-form start, no ADMM step
+    # taken: the residuals still read finite, and the JSON parses strictly
+    code, out, _ = run_cli(capsys, "bound", "--family", *family, "--k", "2",
+                           "--method", "sdp", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert (payload["iterations"], payload["status"]) == (0, "optimal")
+    assert payload["value"] == payload["dual_bound"] >= payload["objective"]
+    assert all(math.isfinite(v) for v in payload["residuals"].values())
+
+
 @pytest.mark.parametrize("family", [("cycle", "5"), ("petersen",)])
 @pytest.mark.parametrize("k", [2, 3])
 def test_gap_report_rows_are_the_bound_methods(capsys, family, k):

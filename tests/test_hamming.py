@@ -40,7 +40,7 @@ def test_kravchuk_linear_case():
 
 
 def test_kravchuk_table_matches_the_defining_sum():
-    # the table uses the three-term recurrence; kravchuk() is the sum
+    # the table uses the one-coordinate recurrence; kravchuk() is the sum
     for d in range(0, 11):
         for q in range(2, 8):
             table = kravchuk_table(d, q)
@@ -128,6 +128,21 @@ def test_conjecture_grid_matches_the_defining_sum():
             argmin = min(range(rep.d + 1), key=lambda i: (vals[i], i))
             assert (r.k_at_one, r.min_value, r.argmin, r.passed) == (
                 vals[1], vals[argmin], argmin, vals[argmin] == vals[1])
+
+
+def test_conjecture_grid_is_check_conjecture_past_d12_q6():
+    # the grid reads every d at one q from one pass of the recurrence: row
+    # for row the reports check_conjecture builds one (d, q) at a time
+    grid = conjecture_grid(30, 15)
+    assert grid == [check_conjecture(d, q) for d in range(1, 31) for q in range(2, 16)]
+    for rep in grid:
+        if rep.d == 30 and rep.q in (2, 7, 15):
+            for r in rep.rows:
+                vals = [kravchuk(30, rep.q, r.j, i) for i in range(31)]
+                argmin = min(range(31), key=lambda i: (vals[i], i))
+                assert (r.in_hypothesis, r.k_at_one, r.min_value, r.argmin, r.passed) == (
+                    in_conjecture_hypothesis(30, rep.q, r.j), vals[1], vals[argmin], argmin,
+                    vals[argmin] == vals[1]), (rep.q, r.j)
 
 
 def test_first_coordinate_qcut():

@@ -371,7 +371,7 @@ def test_boundary_cut_is_not_infeasible():
 
 def test_max_iter_status():
     # C_9 at k = 3 certifies at iteration 16 (C_5 at k = 2 starts at its
-    # optimum and certifies at iteration 1)
+    # optimum and certifies there, at iteration 0)
     g = named_graph("cycle", (9,))
     sol = solve(build(g, 3, RelaxationKind.MAIN_SDP), SolverOptions(max_iter=10))
     assert sol.status == "max_iter"
@@ -404,7 +404,7 @@ def test_stop_rule_is_the_certified_test():
 @pytest.mark.parametrize("d, q, j, k", [(2, 9, 2, 2), (2, 9, 2, 9), (4, 3, 3, 3)])
 def test_scheme_solves_stop_before_the_first_full_check(d, q, j, k):
     # these Hamming-scheme solves start at their closed-form optimum and
-    # certify at iteration 1, well before the first full check
+    # certify there, at iteration 0, well before the first full check
     sol = solve(build(hamming_graph(d, q, j), k, RelaxationKind.MAIN_SDP))
     assert sol.status == "optimal" and sol.iterations < 25
 
@@ -586,7 +586,7 @@ def _traced_peak(fn):
 def test_acceleration_memory_is_bounded():
     # the Anderson history is O(n^2): H(4,3,4) has n = 81; at k = 4 its start
     # is not optimal, so the solve takes accelerated steps (at k = 2 it
-    # certifies at iteration 1)
+    # certifies at its start, iteration 0)
     model = build(hamming_graph(4, 3, 4), 4, RelaxationKind.MAIN_SDP)
     sol, peak = _traced_peak(lambda: solve(model))
     assert sol.status == "optimal" and sol.info["aa_steps"] > 0
@@ -874,34 +874,55 @@ def test_relabelled_graphs_solve_to_the_same_value():
         assert abs(base.objective_value - moved.objective_value) <= 1e-6 * (1 + abs(base.objective_value))
 
 
+def _certified_at_start(model, sol, label):
+    # a closed_form_pair start certified as it stands: Y is the start X0 bit
+    # for bit, certify passes, the gap is nonnegative and within tolerance,
+    # and no ADMM residual was computed
+    opts = SolverOptions()
+    X0 = _SolverState(model, opts).x[1]
+    assert sol.info["start"] == "closed_form_pair", label
+    assert sol.status == "optimal" and sol.iterations == 0, label
+    assert np.array_equal(sol.Y, X0) and np.array_equal(sol.Y, sol.Y.T), label
+    assert certify(model, sol).passed, label
+    assert 0.0 <= sol.gap <= opts.tol_gap * (1 + abs(sol.objective_value)), label
+    assert set(sol.residuals) == {"equality", "cone_min_eig", "lower_violation",
+                                  "cut_violation"}, label
+
+
 def test_eig_sdp_certifies_at_its_closed_form():
     # eig_sdp's optimum is n(k-1)/(2k) lambda_max(L): every ladder graph
-    # starts at it with the eigenvalue bound's multipliers and certifies at
-    # the first check
+    # starts at it with the eigenvalue bound's multipliers and certifies
+    # there, at iteration 0
     rng = np.random.Generator(np.random.PCG64(1))
     for n in range(6, 15):
         W = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
         g, k = Graph(n=n, weights=W + W.T, name=f"G({n},1/2)"), 2 + n % 3
-        sol = solve(build(g, k, RelaxationKind.EIG_SDP))
+        model = build(g, k, RelaxationKind.EIG_SDP)
+        sol = solve(model)
         closed = n * (k - 1) / (2.0 * k) * lambda_max(g)
-        assert sol.status == "optimal" and sol.iterations == 1, n
+        assert sol.status == "optimal" and sol.iterations == 0, n
         assert sol.info["start"] == "closed_form_pair", n
         assert abs(sol.objective_value - closed) <= 1e-12 * closed, n
         assert 0.0 <= sol.gap, n
+        _certified_at_start(model, sol, n)
 
 
 def test_tight_models_certify_at_the_first_check():
     # the eigenvalue bound is tight on Hamming graphs, and at k = 2 on the
     # vertex-transitive Petersen and C_5, so every relaxation starts at its
-    # optimum; where the start fails the model's floor (C_5 at k = 3) it is
-    # the primal alone, and a model with cuts starts at the barycentre
+    # optimum and certifies there, at iteration 0, without a step (the
+    # check before the first one); where the start fails the model's floor
+    # (C_5 at k = 3) it is the primal alone, and a model with cuts starts at
+    # the barycentre
     tight = [(hamming_graph(2, 9, 2), 2), (hamming_graph(2, 9, 2), 9),
              (named_graph("petersen"), 2), (named_graph("cycle", (5,)), 2)]
     for g, k in tight:
         for kind in RelaxationKind:
-            sol = solve(build(g, k, kind))
-            assert sol.status == "optimal" and sol.iterations == 1, (g.name, k, kind)
+            model = build(g, k, kind)
+            sol = solve(model)
+            assert sol.status == "optimal" and sol.iterations == 0, (g.name, k, kind)
             assert sol.info["start"] == "closed_form_pair", (g.name, k, kind)
+            _certified_at_start(model, sol, (g.name, k, kind))
     c5 = named_graph("cycle", (5,))
     sol = solve(build(c5, 3, RelaxationKind.MAIN_SDP))
     assert sol.status == "optimal" and sol.info["start"] == "closed_form"
