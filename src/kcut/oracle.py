@@ -220,14 +220,16 @@ def hyperplane_round(
     Each trial draws k standard-normal n-vectors and assigns every vertex to
     the argmax inner product with its column of V; trial t reads block t of
     one ``standard_normal((trials, k, n))`` draw from a PCG64 stream seeded
-    with ``seed``, so the first t trials do not depend on ``trials``.  The
+    with ``seed``, so the first t trials do not depend on ``trials``.  They
+    are drawn and scored in blocks whose arrays hold at most ``BLOCK``
+    floats each, so memory does not grow with n k trials.  The
     trial of greatest cut weight is returned, the first one on a tie, with
     its parts numbered in order of first appearance (vertex 0 in part 0):
     same seed, same partition.  A Y that is not a finite g.n-by-g.n matrix,
     k < 1 or trials < 1 raise ValueError.
 
-    All trials are scored and weighed together: one product gives every
-    trial's weight up to rounding, and ``cut_weight`` settles the trials
+    A block's trials are scored together: one product gives each one's
+    weight up to rounding, and ``cut_weight`` settles the trials
     within rounding of the best, so ties fall as its sum has them.  It
     weighs each distinct partition among them once: ``cut_weight`` reads
     only which vertices share a part, so trials that differ only in part
@@ -247,25 +249,38 @@ def hyperplane_round(
         w, Q = _eigh((Y + Y.T) / 2.0)
     w = np.clip(w, 0.0, None)
     V = (Q * np.sqrt(w)) @ Q.T  # columns V[:, v] give vertex vectors
-    R = np.random.Generator(np.random.PCG64(seed)).standard_normal((trials, k, n))
-    labels = np.argmax(R @ V, axis=1)  # (trials, n)
-    # column (t, p) of X marks the vertices trial t puts in part p; the cut
-    # is the total weight less the weight inside the parts
-    X = (labels[:, :, None] == np.arange(k)).transpose(1, 0, 2).reshape(n, -1).astype(float)
-    approx = (W.sum() - np.einsum("vc,vc->c", W @ X, X).reshape(trials, k).sum(axis=1)) / 2
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # trials are drawn and scored in blocks of b, each of the draw, its
+    # scores, X and W @ X holding at most BLOCK floats; successive draws
+    # read the stream as one draw of every trial would
+    b, total = max(1, BLOCK // (k * n)), W.sum()
+    labels = np.empty((trials, n), dtype=np.intp)
+    approx = np.empty(trials)
+    for t0 in range(0, trials, b):
+        lab = labels[t0:t0 + b]
+        lab[:] = np.argmax(rng.standard_normal((len(lab), k, n)) @ V, axis=1)
+        # column (t, p) of X marks the vertices trial t puts in part p; the
+        # cut is the total weight less the weight inside the parts
+        X = (lab[:, :, None] == np.arange(k)).transpose(1, 0, 2).reshape(n, -1).astype(float)
+        inside = np.einsum("vc,vc->c", W @ X, X).reshape(len(lab), k).sum(axis=1)
+        approx[t0:t0 + b] = (total - inside) / 2
     # the product's weight and cut_weight's masked sum each round nonnegative
     # terms, at most n^2 + nk deep, so each lies within B = (n^2 + nk) eps
     # W.sum() of the true weight: the trial cut_weight ranks first lies
     # within 4B of the best product weight
-    slack = 4 * (n * n + n * k) * np.finfo(float).eps * W.sum()
+    slack = 4 * (n * n + n * k) * np.finfo(float).eps * total
     near = labels[approx >= approx.max() - slack]
     # parts renumbered in order of first appearance (vertex n for a part
     # left empty); trials naming one partition weigh the same, so each
     # distinct one is weighed once, the first trial to reach it standing
-    # for them all
-    hit = near[:, :, None] == np.arange(k)
-    first = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
-    canon = np.take_along_axis(np.argsort(np.argsort(first, axis=1), axis=1), near, axis=1)
+    # for them all; renumbered in blocks of b as well
+    canon = np.empty_like(near)
+    for t0 in range(0, len(near), b):
+        lab = near[t0:t0 + b]
+        hit = lab[:, :, None] == np.arange(k)
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+        order = np.argsort(np.argsort(first, axis=1), axis=1)
+        canon[t0:t0 + b] = np.take_along_axis(order, lab, axis=1)
     parts = list({a.tobytes(): a for a in canon}.values())
     vals = [cut_weight(g, Partition(assignment=a, k=k)) for a in parts]
     best = int(np.argmax(vals))

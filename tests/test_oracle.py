@@ -309,7 +309,9 @@ def _reference_round(sol, g, k, draws):
     return best_part, best_val
 
 
-def test_batched_rounding_matches_trial_by_trial_reference(rng):
+def test_batched_rounding_matches_trial_by_trial_reference(monkeypatch, rng):
+    # in one block, and in blocks of 7 trials (BLOCK = 7 k n floats), whose
+    # successive draws read the stream one draw of every trial would
     real = np.triu(rng.random((11, 11)) * (rng.random((11, 11)) < 0.6), 1)
     graphs = [named_graph("cycle", (5,)), named_graph("petersen"), random_graph(10, 0.5, rng),
               random_weighted_graph(9, 0.6, rng), Graph(n=11, weights=real + real.T)]
@@ -320,10 +322,13 @@ def test_batched_rounding_matches_trial_by_trial_reference(rng):
                                            np.ones((g.n, g.n)))
             for s in (sol, ones):
                 for trials, seed in ((1, 0), (1, 5), (60, 1), (100, 7)):
-                    part, val = hyperplane_round(s, g, k, trials=trials, seed=seed)
                     ref_part, ref_val = _reference_round(s, g, k, _draws(seed, trials, k, g.n))
-                    assert val == ref_val and part.k == k, (g.name, k, trials, seed)
-                    assert np.array_equal(part.assignment, ref_part.assignment)
+                    for block in (kcut.oracle.BLOCK, 7 * k * g.n):
+                        monkeypatch.setattr(kcut.oracle, "BLOCK", block)
+                        part, val = hyperplane_round(s, g, k, trials=trials, seed=seed)
+                        monkeypatch.undo()
+                        assert val == ref_val and part.k == k, (g.name, k, trials, seed, block)
+                        assert np.array_equal(part.assignment, ref_part.assignment)
 
 
 def test_rounding_weighs_each_tied_partition_once(monkeypatch):
@@ -366,6 +371,22 @@ def test_rounding_draws_every_trial_from_one_seeded_stream(monkeypatch, rng):
     assert made == [(4,)]
     ref_part, ref_val = _reference_round(sol, g, 3, _draws(4, 100, 3, g.n)[:60])
     assert val == ref_val and np.array_equal(part.assignment, ref_part.assignment)
+
+
+def test_rounding_memory_is_bounded():
+    # G(200, 1/2) at k = 200: one draw of all 100 trials, its one-hot
+    # matrix and W times it peaked at 92.5 MiB; in blocks of BLOCK floats
+    # the call peaks near 1.7 MiB
+    g = _random_graph(200, 0.5, np.random.Generator(np.random.PCG64(0)))
+    sol = SdpSolution.from_matrix(build(g, 2, RelaxationKind.MAIN_SDP), np.eye(200))
+    tracemalloc.start()
+    try:
+        part, val = hyperplane_round(sol, g, 200, trials=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut_weight(g, part) == val
+    assert peak <= 16 * 2**20
 
 
 def test_rounding_rejects_non_finite_y():

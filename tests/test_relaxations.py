@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from kcut.acceptance import _dominance_corpus
+from kcut.acceptance import _dominance_corpus, _random_graph
 from kcut.errors import CapExceeded
 from kcut import relaxations
 from kcut.graphs import Graph, named_graph
@@ -230,6 +230,17 @@ def test_cutting_plane_loop_certifies_against_whole_families():
         assert sol.status == "optimal"
         rep = certify(_family_model(g, 2, families), sol, tol)
         assert rep.passed, (g.name, rep)
+
+
+def test_cut_loop_past_n_20_certifies():
+    # the fourth PCG64(11) draw, after n = 16, 20 and 16, a G(24, 1/2): its
+    # second solve, with 6,072 triangles, certifies in 7,050 iterations
+    # extrapolating at every second iteration, 36,000 at every iteration
+    rng = np.random.Generator(np.random.PCG64(11))
+    for n in (16, 20, 16):
+        _random_graph(n, 0.5, rng)
+    sol = cutting_plane_loop(_random_graph(24, 0.5, rng), 2)
+    assert sol.status == "optimal" and sol.iterations <= 10_000
 
 
 def test_cutting_plane_loop_round_count():
