@@ -7,16 +7,23 @@ conjecture grid is exact even at d = 30, q = 15; floating point only enters
 when building dense adjacency matrices or talking to the SDP machinery.
 Every Kravchuk table is built one coordinate at a time, by the exact
 recurrence of the generating function (1 + (q-1) z)^(d-i) (1 - z)^i in d,
-two integer operations an entry and no division (``_kravchuk_rows``); the
-conjecture grid reads every d at one q from a single pass of it.
+two integer operations an entry and no division (``_kravchuk_rows``).  The
+recurrence runs on numpy ``object`` arrays of Python ints, so each step is a
+few array operations, exact at any size: the conjecture grid reads every d
+at every q from one pass of it, the tables of all its alphabets stacked in
+one array, and reads each row's K_j(1), first minimum and hypothesis by
+array operations into light immutable rows (``ConjectureRow``).
 Each exact fact is computed once and reported, not asserted: the
 certificate's ``tight`` is its own comparison, not an identity check.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +91,15 @@ class KravchukTable:
         return worst
 
 
-def _kravchuk_rows(q: int, dmax: int):
-    """Yield K[j][i] = K_j(i), as a list of rows j, for d = 0, 1, ..., dmax
-    positions over the alphabet q.
+def _need_integer(name: str, value, low: int):
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _kravchuk_rows(qs, dmax: int):
+    """Yield, for d = 0, 1, ..., dmax positions, the Kravchuk tables over
+    every alphabet in ``qs`` as one array K of Python ints (dtype
+    ``object``), K[a, j, i] = K_j(i) over the alphabet qs[a].
 
     One coordinate at a time, by the exact recurrence of the generating
     function sum_j K_j(i) z^j = (1 + (q-1) z)^(d-i) (1 - z)^i: a position
@@ -94,29 +107,35 @@ def _kravchuk_rows(q: int, dmax: int):
     column i = d + 1 is column d times 1 - z, so
     K'_j(i) = K_j(i) + (q-1) K_(j-1)(i) for i <= d and
     K'_j(d+1) = K_j(d) - K_(j-1)(d), with K_-1 = K_(d+1) = 0: two integer
-    operations an entry and no division.  Each table is a new list.
+    operations an entry and no division, a few array operations a step for
+    all the alphabets at once.  Each table is a new array.
     """
-    m = q - 1
-    rows = [[1]]
-    yield rows
+    m = np.array([q - 1 for q in qs], dtype=object).reshape(-1, 1, 1)
+    K = np.ones((m.shape[0], 1, 1), dtype=object)
+    yield K
     for d in range(dmax):
-        prev = [0] * (d + 1)
-        nxt = []
-        for row in rows + [prev]:
-            nxt.append([a + m * b for a, b in zip(row, prev)] + [row[-1] - prev[-1]])
-            prev = row
-        rows = nxt
-        yield rows
+        nxt = np.zeros((m.shape[0], d + 2, d + 2), dtype=object)
+        nxt[:, :-1, :-1] = K
+        nxt[:, 1:, :-1] += m * K
+        nxt[:, :-1, -1] = K[:, :, -1]
+        nxt[:, 1:, -1] -= K[:, :, -1]
+        K = nxt
+        yield K
+
+
+def _last_table(d: int, q: int) -> np.ndarray:
+    """The table for d positions over the alphabet q, of shape (1, d + 1, d + 1)."""
+    for K in _kravchuk_rows((q,), d):
+        pass
+    return K
 
 
 def kravchuk_table(d: int, q: int) -> KravchukTable:
     """The table for d positions, the last of the one-coordinate recurrence
     from d = 0, and the multiplicities."""
-    if q < 2 or d < 0:
-        raise ValueError("need q >= 2 and d >= 0")
-    for rows in _kravchuk_rows(q, d):
-        pass
-    K = tuple(tuple(row) for row in rows)
+    _need_integer("d", d, 0)
+    _need_integer("q", q, 2)
+    K = tuple(map(tuple, _last_table(d, q)[0].tolist()))
     mult = tuple(comb(d, i) * (q - 1) ** i for i in range(d + 1))
     return KravchukTable(d=d, q=q, K=K, multiplicities=mult)
 
@@ -165,8 +184,11 @@ def in_conjecture_hypothesis(d: int, q: int, j: int) -> bool:
     return j * q >= d * q - (d - 1)
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
+    """One row j of a conjecture report, immutable, its fields Python ints
+    and bools: whether (d, q, j) lies in the hypothesis, K_j(1), min_i
+    K_j(i) and its first argmin, and whether the minimum is K_j(1)."""
+
     d: int
     q: int
     j: int
@@ -175,6 +197,10 @@ class ConjectureRow:
     min_value: int
     argmin: int
     passed: bool  # min_i K_j(i) attained at i = 1 (only asserted in hypothesis)
+
+
+# a row from a tuple of its fields, by the C-level tuple constructor
+_row = partial(tuple.__new__, ConjectureRow)
 
 
 @dataclass(frozen=True)
@@ -195,30 +221,40 @@ def check_conjecture(d: int, q: int) -> ConjectureReport:
     claim that hamming_lambda is the largest Laplacian eigenvalue of
     H(d,q,j); rows outside the hypothesis are informational.
     """
-    if d < 1 or q < 2:
-        raise ValueError("need d >= 1 and q >= 2")
-    return _conjecture_report(d, q, kravchuk_table(d, q).K)
+    _need_integer("d", d, 1)
+    _need_integer("q", q, 2)
+    return _conjecture_reports(d, (q,), _last_table(d, q))[0]
 
 
-def _conjecture_report(d: int, q: int, K) -> ConjectureReport:
-    """The report of the rows j >= 1 of the Kravchuk table K for (d, q)."""
-    out = []
-    for j in range(1, d + 1):
-        vals = K[j]
-        low = min(vals)
-        argmin = vals.index(low)  # the first minimum
-        out.append(ConjectureRow(
-            d=d, q=q, j=j, in_hypothesis=in_conjecture_hypothesis(d, q, j),
-            k_at_one=vals[1], min_value=low, argmin=argmin, passed=low == vals[1]))
-    return ConjectureReport(d=d, q=q, rows=tuple(out))
+def _conjecture_reports(d: int, qs, K: np.ndarray) -> list[ConjectureReport]:
+    """The reports for d positions over each alphabet in ``qs``, from their
+    tables K (``_kravchuk_rows``): the rows j >= 1, whose first minimum
+    ``argmin`` finds, and whose hypothesis (``in_conjecture_hypothesis``)
+    is read from integer arrays."""
+    R = K[:, 1:]
+    arg = R.argmin(axis=2)  # the first minimum
+    low = np.take_along_axis(R, arg[..., None], axis=2)[..., 0]
+    one = R[:, :, 1]
+    q, j = np.array(qs)[:, None], np.arange(1, d + 1)
+    hyp = (j * q >= d * q - (d - 1)) & ((q != 2) | (j % 2 == 0))
+    size = len(qs) * d
+    rows = list(map(_row, zip(
+        [d] * size, np.repeat(qs, d).tolist(), np.tile(j, len(qs)).tolist(),
+        hyp.ravel().tolist(), one.ravel().tolist(), low.ravel().tolist(),
+        arg.ravel().tolist(), (low == one).ravel().tolist())))
+    return [ConjectureReport(d=d, q=qv, rows=tuple(rows[a * d:(a + 1) * d]))
+            for a, qv in enumerate(qs)]
 
 
 def conjecture_grid(dmax: int, qmax: int) -> list[ConjectureReport]:
     """Reports for every (d, q) with 1 <= d <= dmax, 2 <= q <= qmax, d
-    major; every d at one q is read from one pass of the recurrence."""
-    by_q = [[_conjecture_report(d, q, K) for d, K in enumerate(_kravchuk_rows(q, dmax)) if d]
-            for q in range(2, qmax + 1)]
-    return [reps[d] for d in range(dmax) for reps in by_q]
+    major; every table is read from one pass of the recurrence over all the
+    alphabets at once."""
+    _need_integer("dmax", dmax, 1)
+    _need_integer("qmax", qmax, 2)
+    qs = range(2, qmax + 1)
+    return [rep for d, K in enumerate(_kravchuk_rows(qs, dmax)) if d
+            for rep in _conjecture_reports(d, qs, K)]
 
 
 def _first_coordinate_cut(g: Graph, q: int) -> tuple[Partition, int]:

@@ -35,7 +35,10 @@ test it is optimal for the model too, and the elementwise multiplier starts
 at the eigenvalue bound's, U_el = (G - lambda_max I) / rho: the pair is a
 fixed point of the step.  The certified test then runs on the pair as it
 stands, before any step: its residuals are those X0 just passed, and its
-objective and dual bound are read from the pair.  A pass returns X0
+objective and dual bound are read from the pair, the bound's eigenvalue
+shift off the spectrum of G the start already computed (by Weyl's
+inequality; see ``_SolverState.dual_bound``) rather than by a second
+eigensolve.  A pass returns X0
 ``optimal`` at iteration 0, as eig_sdp always does, and so do the
 diagonal-constrained relaxations of a walk-regular graph, whose P has a
 constant diagonal, wherever X0 meets the floor too; a fail starts the loop
@@ -161,7 +164,8 @@ The ADMM primal and dual residuals that the solution reports, whose cut
 term reads every working cut, are computed only at the checks whose figures
 are reported: the one that ends the solve, and the last one within
 ``max_iter``.  No other check reads them, and a solve certified at its start
-takes no step and reports none.
+takes no step and reports none; nor does it allocate an Anderson history,
+which is laid out only before the first step.
 """
 
 from __future__ import annotations
@@ -769,7 +773,10 @@ class _SolverState:
         eigenvalue bound's multipliers (nu = lambda_max on the diagonal, M =
         0), when X0 passes the model's own residual test, else 0.  A passing
         X0's residuals are kept for the certified test at the start
-        (``run``)."""
+        (``run``), and so is the computed lambda_max (``top``), from which
+        that test's dual bound takes its eigenvalue shift (``dual_bound``):
+        the start pair's one eigensolve past this ``eigh`` is the residual
+        test's ``eigvalsh`` on X0."""
         n, s = self.n, self.shift
         with np.errstate(all="ignore"):
             w, Q = _eigh(self.G)
@@ -782,14 +789,16 @@ class _SolverState:
         resid = _residuals(self.model, X0, self.cuts, self.opts.tol_eq)[0]
         if not _within(resid, self.opts):
             return X0, 0.0, "closed_form"
-        self.resid = resid
+        self.resid, self.top = resid, lam
         U0 = self.g_rho.copy()
         U0.reshape(-1)[:: n + 1] -= lam / self.rho
         return X0, U0, "closed_form_pair"
 
     def grow(self, new: np.ndarray, X, U_el, E, beta):
         """Add the cuts ``new`` to the working set and start x at (X, U_el,
-        E, beta), beta over the kept cuts: a new cut's beta starts at 0."""
+        E, beta), beta over the kept cuts: a new cut's beta starts at 0.
+        The Anderson history is laid out for the new set by the caller:
+        ``check`` when the loop grows it, ``run`` before the first step."""
         kept = ~new[self.working | new]
         self.working |= new
         wc = self.wc = self.cuts.take(np.flatnonzero(self.working))
@@ -801,7 +810,6 @@ class _SolverState:
         _, X1, U1, E1, beta1 = self.last = self.x
         X1[...], U1[...], E1[...] = X, U_el, E
         beta1[kept] = beta
-        self.aa.layout(wc)
 
     def step(self):
         """The plain ADMM step y = T(x), C moving along to y's."""
@@ -909,25 +917,29 @@ class _SolverState:
                          "dual": float(rho * np.linalg.norm(Xn - X))}
         if new is not None and new.any():
             self.grow(new, Xn, U_eln, En, betan)
+            self.aa.layout(self.wc)
             return "grown"
         return verdict
 
-    def certified(self, state) -> bool:
+    def certified(self, state, top: float | None = None) -> bool:
         """The gap half of the certified test, on a state whose residuals
         passed: the dual bound of its multipliers at or above its objective
-        and within ``tol_gap`` (1 + |objective|) of it; both are kept."""
-        self.obj, self.bound = self.readout(state)
+        and within ``tol_gap`` (1 + |objective|) of it; both are kept.
+        ``top`` is as in ``dual_bound``."""
+        self.obj, self.bound = self.readout(state, top)
         # an objective above its own dual bound certifies nothing
         return 0.0 <= self.bound - self.obj <= self.opts.tol_gap * (1 + abs(self.obj))
 
-    def readout(self, state) -> tuple[float, float]:
+    def readout(self, state, top: float | None = None) -> tuple[float, float]:
         """The objective at the state's X and the dual bound of its
-        multipliers."""
+        multipliers (``top`` as in ``dual_bound``)."""
         _, X, U_el, E, beta = state
         rho, G = self.rho, self.G
-        return float(np.vdot(G, X)), self.dual_bound(rho * U_el - G, rho * E, rho * beta, G)
+        return float(np.vdot(G, X)), self.dual_bound(rho * U_el - G, rho * E, rho * beta, G,
+                                                     top=top)
 
-    def dual_bound(self, Y_el: np.ndarray, Y_E, Y_beta, G, clear: float | None = None) -> float:
+    def dual_bound(self, Y_el: np.ndarray, Y_E, Y_beta, G, clear: float | None = None,
+                   top: float | None = None) -> float:
         """Assemble a dual feasible point from the block multipliers.
 
         For max <G,Y> s.t. diag(Y)=d (or tr), Y >= B offdiag, <A_c,Y> <= b_c,
@@ -956,17 +968,31 @@ class _SolverState:
         eigensolve, when it is at least ``clear``: t >= 0 and sum(d) - n s
         >= 0 make it a lower bound on the value, in floats too, so a test
         ``value < clear`` reads the same verdict from either.
+
+        With ``top``, a computed lambda_max(G) and no working cut (the start
+        pair, whose G ``closed_form`` decomposed), t is read off that
+        spectrum instead, without an eigensolve.  S = (Diag(nu) - G) - M,
+        so by Weyl's inequality (Horn & Johnson, Matrix Analysis, Thm
+        4.3.1) lambda_min(S) >= min nu - lambda_max(G) - lambda_max(M) >=
+        min nu - lambda_max(G) - |M|_F, with equality under a trace
+        constraint without a floor, where S = nu I - G.  The one estimate is ``eigh``'s
+        backward error on lambda_max(G), of the order of eps |G|: t pads
+        top - min nu + |M|_F by n eps (|S|_F + |G|_F), at least the pad of
+        the eigensolved shift, which the spectrum's own bound then never
+        undercuts.
         """
         n, cuts = self.n, self.wc
+        M_hat = np.zeros(0)  # the floor's multipliers, none without a floor
         # ``scale`` sums the magnitudes of the bound's terms, for its rounding
         if self.diag is not None:
             nu = -np.diag(Y_el)
+            low = float(nu.min())
             S = np.diag(nu) - G
             value = float(nu @ self.diag)
             scale = float(np.abs(nu) @ np.abs(self.diag))
             dsum = float(np.sum(self.diag))
         else:
-            nu0 = -float(np.trace(Y_el)) / n
+            low = nu0 = -float(np.trace(Y_el)) / n
             S = nu0 * np.eye(n) - G
             value = nu0 * self.trace
             scale = abs(value)
@@ -999,10 +1025,15 @@ class _SolverState:
             return (value + (t * spread - s_sum)
                     + (n * n + cuts.size) * eps * (scale + (abs(t * spread) + s_abs)))
 
-        if clear is not None and spread >= 0 and (low := total(0.0)) >= clear:
-            return low
-        return total(max(0.0, n * eps * float(np.linalg.norm(S))
-                         - float(np.linalg.eigvalsh(S)[0])))
+        if clear is not None and spread >= 0 and (least := total(0.0)) >= clear:
+            return least
+        pad = n * eps * float(np.linalg.norm(S))
+        if top is None:
+            t = pad - float(np.linalg.eigvalsh(S)[0])
+        else:
+            t = (top - low + float(np.linalg.norm(M_hat))
+                 + pad + n * eps * float(np.linalg.norm(G)))
+        return total(max(0.0, t))
 
     def run(self) -> SdpSolution:
         """Step and check until a verdict or ``max_iter``, accelerating
@@ -1010,12 +1041,17 @@ class _SolverState:
         until the revert cap; the solution reads the last plain step, and
         its ADMM residuals are those of the last check, which computes them
         (``check``).  A ``closed_form_pair`` start, whose X0 passed the
-        residual test, is certified as it stands when its gap passes too:
-        ``optimal`` at iteration 0, no step taken."""
+        residual test, is certified as it stands when its gap passes too,
+        the dual bound's shift read off the spectrum ``closed_form``
+        computed (``dual_bound``): ``optimal`` at iteration 0, no step taken
+        and no Anderson history allocated.  Otherwise the history is laid
+        out for the working set before the first step."""
         aa, status, it, last = self.aa, "max_iter", 0, self.opts.max_iter
         t0 = time.perf_counter()
-        if self.start == "closed_form_pair" and self.certified(self.x):
+        if self.start == "closed_form_pair" and self.certified(self.x, self.top):
             status, last = "optimal", 0
+        else:
+            aa.layout(self.wc)
         # one error-state context for the loop's LAPACK gufuncs (``_eigh``,
         # the Anderson solve), which report a failure by NaN
         with np.errstate(all="ignore"):

@@ -145,6 +145,40 @@ def test_conjecture_grid_is_check_conjecture_past_d12_q6():
                     vals[argmin] == vals[1]), (rep.q, r.j)
 
 
+def test_grid_rows_are_immutable_python_values():
+    # light rows: a NamedTuple refuses assignment, and the array sweep hands
+    # out Python ints and bools, never numpy scalars
+    ints, bools = ("d", "q", "j", "k_at_one", "min_value", "argmin"), ("in_hypothesis", "passed")
+    reports = conjecture_grid(30, 15) + [check_conjecture(7, 4)]
+    for rep in reports:
+        for r in rep.rows:
+            assert all(type(getattr(r, f)) is int for f in ints), r
+            assert all(type(getattr(r, f)) is bool for f in bools), r
+    row = reports[-1].rows[0]
+    with pytest.raises(AttributeError):
+        row.passed = False
+
+
+def test_grid_hypothesis_is_the_predicate():
+    # the hypothesis read from integer arrays is in_conjecture_hypothesis at
+    # every (d, q, j) of the grid
+    for rep in conjecture_grid(30, 15):
+        assert [r.in_hypothesis for r in rep.rows] == [
+            in_conjecture_hypothesis(rep.d, rep.q, j) for j in range(1, rep.d + 1)]
+
+
+def test_conjecture_arguments_are_checked():
+    # an empty grid or a non-integer size is refused, naming the argument,
+    # where the grid returned [] or range raised a bare TypeError
+    for args, name in (((0, 15), "dmax"), ((5, 1), "qmax"), ((-3, 4), "dmax"),
+                       ((2.5, 4), "dmax"), ((3, 4.0), "qmax")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            conjecture_grid(*args)
+    for args, name in (((0, 3), "d"), ((3, 1), "q"), ((2.5, 3), "d"), ((3, 3.0), "q")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            check_conjecture(*args)
+
+
 def test_first_coordinate_qcut():
     _, cut = first_coordinate_qcut(2, 3, 2)
     assert cut == 18  # q^(d-1) C(d-1,j-1) (q-1)^(j-1) edges per part pair, 3 pairs

@@ -52,3 +52,29 @@ def test_tracer_sees_the_cli_solve_and_its_cuts(monkeypatch, capsys):
     assert len(spans["sdp.solve"]) == 1
     [cuts] = spans["relaxations.triangle_cuts"]
     assert cuts.attrs["count"] == 30
+
+
+def test_tracer_spans_the_hamming_path(monkeypatch):
+    # the hamming_scheme layers stay measurable: the grid is spanned, and a
+    # solve certified at its start shows its one eigvalsh (the residual
+    # test's) as a child of its sdp.solve span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import kcut
+    import kcut.hamming
+    from tracing import Tracer
+
+    for name in ("conjecture_grid", "hamming_lambda", "first_coordinate_qcut"):
+        assert getattr(kcut.hamming, name).__module__ == "kcut.hamming", name
+    tracer = Tracer(0.0)
+    tracer.install()
+    try:
+        kcut.conjecture_grid(6, 4)
+        sol = kcut.solve(kcut.build(kcut.hamming_graph(4, 3, 4), 3, "main_sdp"))
+    finally:
+        tracer.uninstall()
+    assert sol.status == "optimal" and sol.iterations == 0
+    names = [s.name for s in tracer.spans]
+    assert names.count("hamming.conjecture_grid") == 1
+    [solve] = [i for i, name in enumerate(names) if name == "sdp.solve"]
+    children = [s.name for s in tracer.spans if s.parent == solve]
+    assert children.count("sdp.eigvalsh") == 1

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import random_graph
 from kcut.acceptance import _dominance_corpus, _random_graph
 from kcut.errors import CapExceeded
 from kcut.graphs import Graph, Partition, named_graph
-from kcut.hamming import hamming_graph
+from kcut.hamming import hamming_graph, in_conjecture_hypothesis
 from kcut.oracle import brute_force_maxkcut, hyperplane_round
 from kcut.relaxations import RelaxationKind, build, independent_set_cuts, triangle_cuts
 from kcut.sdp import (
@@ -895,14 +896,29 @@ def _certified_at_start(model, sol, label):
                                   "cut_violation"}, label
 
 
+def _ladder_graphs():
+    # G(n, 1/2) for n = 6..14, each with its k = 2 + n % 3
+    rng = np.random.Generator(np.random.PCG64(1))
+    for n in range(6, 15):
+        W = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+        yield Graph(n=n, weights=W + W.T, name=f"G({n},1/2)"), 2 + n % 3
+
+
+def _hamming_scheme_models():
+    # main_sdp at k = 2 and k = q on every H(d,q,j) with d >= 2, q^d <= 81
+    # and the conjecture hypothesis: the benchmark's 28 Hamming solves
+    return [build(hamming_graph(d, q, j), k, RelaxationKind.MAIN_SDP)
+            for d in range(2, 7) for q in range(2, 10) if q ** d <= 81
+            for j in range(1, d + 1) if in_conjecture_hypothesis(d, q, j)
+            for k in sorted({2, q})]
+
+
 def test_eig_sdp_certifies_at_its_closed_form():
     # eig_sdp's optimum is n(k-1)/(2k) lambda_max(L): every ladder graph
     # starts at it with the eigenvalue bound's multipliers and certifies
     # there, at iteration 0
-    rng = np.random.Generator(np.random.PCG64(1))
-    for n in range(6, 15):
-        W = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
-        g, k = Graph(n=n, weights=W + W.T, name=f"G({n},1/2)"), 2 + n % 3
+    for g, k in _ladder_graphs():
+        n = g.n
         model = build(g, k, RelaxationKind.EIG_SDP)
         sol = solve(model)
         closed = n * (k - 1) / (2.0 * k) * lambda_max(g)
@@ -936,6 +952,73 @@ def test_tight_models_certify_at_the_first_check():
     model.cuts.extend(triangle_cuts(5))
     sol = solve(model)
     assert sol.status == "optimal" and sol.info["start"] == "barycentre"
+
+
+def test_start_certified_solve_makes_one_eigensolve(monkeypatch):
+    # the start pair's dual bound takes its shift from the spectrum that
+    # closed_form's eigh already holds, so the residual test's eigvalsh on X0
+    # is the one eigvalsh of the solve: with the floor enforced, dropped as
+    # implied, and under a trace constraint
+    calls = []
+    linalg = types.ModuleType("numpy.linalg")
+    linalg.__dict__.update(np.linalg.__dict__)
+    linalg.eigvalsh = lambda M: calls.append(M.shape) or np.linalg.eigvalsh(M)
+    numpy_seen_by_sdp = types.ModuleType("numpy")
+    numpy_seen_by_sdp.__dict__.update(np.__dict__)
+    numpy_seen_by_sdp.linalg = linalg
+    monkeypatch.setattr(kcut.sdp, "np", numpy_seen_by_sdp)
+    cases = [(hamming_graph(4, 3, 4), 3, RelaxationKind.MAIN_SDP, "enforced"),
+             (hamming_graph(2, 9, 2), 2, RelaxationKind.MAIN_SDP, "dropped"),
+             (named_graph("petersen"), 3, RelaxationKind.EIG_SDP, "trace")]
+    for g, k, kind, label in cases:
+        model = build(g, k, kind)
+        state = _SolverState(model, SolverOptions())
+        assert {"enforced": state.floor is not None and state.diag is not None,
+                "dropped": state.floor is None and model.elementwise_lower is not None,
+                "trace": state.diag is None}[label], label
+        calls.clear()
+        sol = solve(model)
+        assert sol.status == "optimal" and sol.iterations == 0, label
+        assert calls == [(g.n, g.n)], label
+
+
+def test_spectrum_shift_covers_the_eigensolved_deficiency():
+    # at every start pair that certifies (the Hamming solves, the ladder's
+    # eig_sdp and the tight graphs' relaxations), the shift read off
+    # closed_form's spectrum gives a dual bound at or above the eigensolved
+    # one: the bound grows with the shift (sum(d) - n s > 0 here), so the
+    # shift covers -lambda_min(S) as eigvalsh measures it, pad included.
+    # So it does with nu lowered by 1e-3 at one vertex, where Weyl's
+    # inequality is no longer an equality
+    models = _hamming_scheme_models() + [build(g, k, RelaxationKind.EIG_SDP)
+                                         for g, k in _ladder_graphs()]
+    for g, k in ((hamming_graph(2, 9, 2), 2), (hamming_graph(2, 9, 2), 9),
+                 (named_graph("petersen"), 2), (named_graph("cycle", (5,)), 2)):
+        models += [build(g, k, kind) for kind in RelaxationKind]
+    assert len(models) == 28 + 9 + 16
+    for model in models:
+        state = _SolverState(model, SolverOptions())
+        assert state.start == "closed_form_pair", model.name
+        dsum = state.diag.sum() if state.diag is not None else state.trace
+        assert dsum - state.n * state.shift > 0
+        _, _, U_el, E, beta = state.x
+        rho, G = state.rho, state.G
+        for lowered in (0.0, 1e-3):
+            U = U_el.copy()
+            U[0, 0] += lowered / rho  # nu_0 = -(rho U_00 - G_00) falls by 1e-3
+            duals = (rho * U - G, rho * E, rho * beta, G)
+            spectral = state.dual_bound(*duals, top=state.top)
+            solved = state.dual_bound(*duals)
+            assert spectral >= solved, (model.name, lowered)
+
+
+def test_start_certified_solve_allocates_no_history():
+    # H(4,3,4) at k = 3 certifies at its start: no Anderson history (2 MiB
+    # at n = 81) is laid out for a loop that takes no step
+    model = build(hamming_graph(4, 3, 4), 3, RelaxationKind.MAIN_SDP)
+    sol, peak = _traced_peak(lambda: solve(model))
+    assert sol.status == "optimal" and sol.iterations == 0
+    assert peak <= 2 * 2**20
 
 
 def test_closed_form_start_is_basis_free():
