@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb
 from typing import NamedTuple
 
@@ -178,10 +177,10 @@ def hamming_lambda(d: int, q: int, j: int) -> int:
 
 
 def in_conjecture_hypothesis(d: int, q: int, j: int) -> bool:
-    """j >= d - (d-1)/q, with j even when q = 2 (H(d,2,j) is bipartite for odd j)."""
-    if q == 2 and j % 2 == 1:
-        return False
-    return j * q >= d * q - (d - 1)
+    """j >= d - (d-1)/q, with j even when q = 2 (H(d,2,j) is bipartite for odd j).
+
+    A Python bool on ints, and element by element on integer arrays."""
+    return (j * q >= d * q - (d - 1)) & ((q != 2) | (j % 2 == 0))
 
 
 class ConjectureRow(NamedTuple):
@@ -197,10 +196,6 @@ class ConjectureRow(NamedTuple):
     min_value: int
     argmin: int
     passed: bool  # min_i K_j(i) attained at i = 1 (only asserted in hypothesis)
-
-
-# a row from a tuple of its fields, by the C-level tuple constructor
-_row = partial(tuple.__new__, ConjectureRow)
 
 
 @dataclass(frozen=True)
@@ -236,9 +231,9 @@ def _conjecture_reports(d: int, qs, K: np.ndarray) -> list[ConjectureReport]:
     low = np.take_along_axis(R, arg[..., None], axis=2)[..., 0]
     one = R[:, :, 1]
     q, j = np.array(qs)[:, None], np.arange(1, d + 1)
-    hyp = (j * q >= d * q - (d - 1)) & ((q != 2) | (j % 2 == 0))
+    hyp = in_conjecture_hypothesis(d, q, j)
     size = len(qs) * d
-    rows = list(map(_row, zip(
+    rows = list(map(ConjectureRow._make, zip(
         [d] * size, np.repeat(qs, d).tolist(), np.tile(j, len(qs)).tolist(),
         hyp.ravel().tolist(), one.ravel().tolist(), low.ravel().tolist(),
         arg.ravel().tolist(), (low == one).ravel().tolist())))

@@ -159,14 +159,6 @@ def test_grid_rows_are_immutable_python_values():
         row.passed = False
 
 
-def test_grid_hypothesis_is_the_predicate():
-    # the hypothesis read from integer arrays is in_conjecture_hypothesis at
-    # every (d, q, j) of the grid
-    for rep in conjecture_grid(30, 15):
-        assert [r.in_hypothesis for r in rep.rows] == [
-            in_conjecture_hypothesis(rep.d, rep.q, j) for j in range(1, rep.d + 1)]
-
-
 def test_conjecture_arguments_are_checked():
     # an empty grid or a non-integer size is refused, naming the argument,
     # where the grid returned [] or range raised a bare TypeError

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import types
 from itertools import combinations
 
 import numpy as np
@@ -952,34 +951,6 @@ def test_tight_models_certify_at_the_first_check():
     model.cuts.extend(triangle_cuts(5))
     sol = solve(model)
     assert sol.status == "optimal" and sol.info["start"] == "barycentre"
-
-
-def test_start_certified_solve_makes_one_eigensolve(monkeypatch):
-    # the start pair's dual bound takes its shift from the spectrum that
-    # closed_form's eigh already holds, so the residual test's eigvalsh on X0
-    # is the one eigvalsh of the solve: with the floor enforced, dropped as
-    # implied, and under a trace constraint
-    calls = []
-    linalg = types.ModuleType("numpy.linalg")
-    linalg.__dict__.update(np.linalg.__dict__)
-    linalg.eigvalsh = lambda M: calls.append(M.shape) or np.linalg.eigvalsh(M)
-    numpy_seen_by_sdp = types.ModuleType("numpy")
-    numpy_seen_by_sdp.__dict__.update(np.__dict__)
-    numpy_seen_by_sdp.linalg = linalg
-    monkeypatch.setattr(kcut.sdp, "np", numpy_seen_by_sdp)
-    cases = [(hamming_graph(4, 3, 4), 3, RelaxationKind.MAIN_SDP, "enforced"),
-             (hamming_graph(2, 9, 2), 2, RelaxationKind.MAIN_SDP, "dropped"),
-             (named_graph("petersen"), 3, RelaxationKind.EIG_SDP, "trace")]
-    for g, k, kind, label in cases:
-        model = build(g, k, kind)
-        state = _SolverState(model, SolverOptions())
-        assert {"enforced": state.floor is not None and state.diag is not None,
-                "dropped": state.floor is None and model.elementwise_lower is not None,
-                "trace": state.diag is None}[label], label
-        calls.clear()
-        sol = solve(model)
-        assert sol.status == "optimal" and sol.iterations == 0, label
-        assert calls == [(g.n, g.n)], label
 
 
 def test_spectrum_shift_covers_the_eigensolved_deficiency():
